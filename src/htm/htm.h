@@ -11,7 +11,6 @@
 #include <cassert>
 #include <vector>
 
-#include "htm/abort.h"
 #include "htm/write_buffer.h"
 #include "mem/coherence.h"
 #include "sim/config.h"

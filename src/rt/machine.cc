@@ -52,8 +52,8 @@ Machine::Machine(MachineConfig cfg)
     // for any run (the CI baseline legs use it to prove the wall is
     // bit-identical with the hooks live). Any value enables capture;
     // a value containing '/' or '.' is additionally taken as a path
-    // that run() serializes the capture to (tools/trace_info.py
-    // consumes it).
+    // that run() serializes the capture to (tools/trace_info reads
+    // it).
     const char *trace_env = std::getenv("COMMTM_CAPTURE_TRACE");
     if (cfg_.captureTrace || trace_env) {
         trace_ = std::make_unique<TraceWriter>(cfg_);
@@ -83,13 +83,9 @@ Machine::Machine(MachineConfig cfg)
         if (cfg_.invariantOnDrain)
             mem_->setInvariantChecker(invariants_.get());
     }
-    // COMMTM_SCHED_CROSSCHECK=<n> overrides the cross-check cadence
-    // for any run (n resumes per reference-scan comparison; 0 off).
     crossCheckEvery_ = cfg_.schedCrossCheckEvery
                            ? cfg_.schedCrossCheckEvery
                            : kDefaultCrossCheckEvery;
-    if (const char *env = std::getenv("COMMTM_SCHED_CROSSCHECK"))
-        crossCheckEvery_ = uint32_t(std::strtoul(env, nullptr, 10));
 }
 
 Machine::~Machine() = default;
@@ -107,10 +103,11 @@ Machine::addThread(ThreadFn fn)
         *this, core, cfg_.seed ^ (0x1234567ull * (core + 1)));
     st.ctx->trace_ = trace_.get();
     ThreadContext *ctx = st.ctx.get();
-    st.fiber = std::make_unique<Fiber>([this, ctx, fn = std::move(fn)]() {
+    auto entry = [this, ctx, fn = std::move(fn)]() {
         fn(*ctx);
         ctx->finished_ = true;
-    });
+    };
+    st.fiber = std::make_unique<Fiber>(std::move(entry), core);
     ctx->fiber_ = st.fiber.get();
     threads_.push_back(std::move(st));
     return *ctx;

@@ -27,6 +27,7 @@
 #include "htm/htm.h"
 #include "mem/coherence.h"
 #include "sim/commit_log.h"
+#include "sim/check.h"
 #include "sim/config.h"
 #include "sim/fiber.h"
 #include "sim/invariants.h"
@@ -114,8 +115,8 @@ class ThreadContext
      * bodies must check this after reads whose values steer control
      * flow or host-side state and return, letting txRun() retry. This
      * is the cooperative-unwind contract (docs/ARCHITECTURE.md,
-     * "Abort control flow"); bodies that never check are eventually
-     * force-unwound via the AbortException fallback.
+     * "Abort control flow"). A body that never checks fails a
+     * COMMTM_CHECK once it exhausts kAbortNoOpBudget.
      */
     bool txAborted() const { return txAbortPending_; }
 
@@ -160,8 +161,8 @@ class ThreadContext
     /** Record why the current attempt aborts; operations become
      *  no-ops until txRun()'s retry loop observes the flag. */
     void noteAbort(AbortCause cause, bool demote);
-    /** Called per operation issued while the abort is pending; throws
-     *  the AbortException fallback once the no-op budget is spent. */
+    /** Called per operation issued while the abort is pending; fails
+     *  a COMMTM_CHECK once the no-op budget is spent. */
     void abortedNoOp();
     /** Map a (possibly labeled) op through the system mode and label
      *  virtualization: baseline/demoted ops become conventional. */
@@ -197,20 +198,19 @@ class ThreadContext
 
     /** Cooperative-unwind state: set by noteAbort, consumed by txRun.
      *  While pending, issue()/compute() and the functional accessors
-     *  are no-ops (no cycles, no stats, no memory effects), exactly as
-     *  if the old throw had already unwound the body. */
+     *  are no-ops (no cycles, no stats, no memory effects). */
     bool txAbortPending_ = false;
     AbortCause abortCause_ = AbortCause::Explicit;
     bool abortDemote_ = false;
-    /** Operations issued since the abort latched; the exception
-     *  fallback fires when it exceeds kAbortNoOpBudget. */
+    /** Operations issued since the abort latched, bounded by
+     *  kAbortNoOpBudget. */
     uint32_t abortedOps_ = 0;
 
-    /** No-op operations a non-cooperative body may issue after its
-     *  abort before the AbortException fallback force-unwinds it.
-     *  Generous: cooperative bodies check txAborted() at loop heads
-     *  and return long before this; the budget only bounds bodies
-     *  whose control flow never consults the (zeroed) read results. */
+    /** No-op operations a body may issue after its abort before the
+     *  run fails as non-cooperative. Generous: cooperative bodies
+     *  check txAborted() at loop heads and return long before this;
+     *  without the bound, a body whose control flow never consults
+     *  the (zeroed) read results would hang the simulation. */
     static constexpr uint32_t kAbortNoOpBudget = 4096;
 };
 
@@ -362,8 +362,7 @@ class Machine
      *  not re-queue it: it is still running and re-queues itself when
      *  it next yields. */
     ThreadContext *current_ = nullptr;
-    /** Cross-check cadence resolved from MachineConfig and the
-     *  COMMTM_SCHED_CROSSCHECK environment variable (0 = never). */
+    /** Cross-check cadence resolved from MachineConfig (0 = never). */
     uint32_t crossCheckEvery_ = 0;
     uint32_t crossCheckCountdown_ = 0;
 
@@ -406,13 +405,14 @@ ThreadContext::noteAbort(AbortCause cause, bool demote)
 inline void
 ThreadContext::abortedNoOp()
 {
-    // Fiber-boundary fallback for bodies that never check txAborted():
-    // after a generous budget of no-op operations, force the unwind
-    // the old way. Cooperative bodies never reach this; either way the
-    // counters are identical, since no-op operations have no simulated
-    // effect.
-    if (++abortedOps_ > kAbortNoOpBudget)
-        throw AbortException{abortCause_, abortDemote_};
+    ++abortedOps_;
+    COMMTM_CHECK(abortedOps_ <= kAbortNoOpBudget,
+                 "core %u issued %u operations after its transaction "
+                 "aborted (%s): the body is missing a ctx.txAborted() "
+                 "check",
+                 unsigned(core_),
+                 unsigned(abortedOps_),
+                 abortCauseName(abortCause_));
 }
 
 inline void
@@ -581,9 +581,9 @@ ThreadContext::writeBytes(Addr addr, const void *src, size_t size)
 }
 
 // On a pending abort, reads return T{} (all-zero) and writes vanish:
-// with the old throw the functional half never ran either, and the
-// zero sentinel keeps pointer-chasing loops in non-yet-checked body
-// code terminating harmlessly until the body observes txAborted().
+// the zero sentinel keeps pointer-chasing loops in not-yet-checked
+// body code terminating harmlessly until the body observes
+// txAborted().
 //
 // Capture hooks record each op at the API level, before the issue
 // path resolves label demotion, gather fallback, or the lazy-mode
@@ -736,22 +736,12 @@ ThreadContext::txRun(Body &&body)
         inTx_ = true;
         txAcc_ = 0;
         txAbortPending_ = false;
-        try {
-            advance(machine_.config().txBeginCost);
-            body();
-        } catch (const AbortException &e) {
-            // Fallback for non-cooperative bodies (explicit throws,
-            // exhausted no-op budget). Latch the fields and leave the
-            // catch block before doing anything that can switch
-            // fibers: the C++ exception state is per host thread,
-            // shared by all fibers, so a live exception must never be
-            // suspended across a yield.
-            noteAbort(e.cause, e.demoteLabeled);
-        }
+        advance(machine_.config().txBeginCost);
+        body();
         // Commit point. The body returned; any abort it absorbed is in
-        // txAbortPending_. The two checkDoomed() calls mirror the old
-        // throw sites exactly: a doom latched during the body, then
-        // one latched while the commit-cost advance yielded.
+        // txAbortPending_. The two checkDoomed() calls catch a doom
+        // latched during the body, then one latched while the
+        // commit-cost advance yielded.
         if (!txAbortPending_)
             checkDoomed();
         if (!txAbortPending_) {

@@ -156,8 +156,7 @@ struct MachineConfig {
      *  COMMTM_CHECK; docs/ARCHITECTURE.md Sec. 2.2). 0 selects the
      *  default cadence: every 1024 resumes in Debug builds, never in
      *  Release. The scheduler stress tests set 1 to verify every
-     *  single pick; the COMMTM_SCHED_CROSSCHECK environment variable
-     *  overrides either setting for any run. */
+     *  single pick. */
     uint32_t schedCrossCheckEvery = 0;
 
     uint64_t seed = 0x5eed;

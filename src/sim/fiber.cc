@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include "sim/check.h"
+
 // ASan needs to be told about manual stack switches; without the
 // annotations, throwing an exception on a fiber stack trips its
 // no-return stack unpoisoning (google/sanitizers#189).
@@ -38,11 +40,14 @@ thread_local Fiber *tlsCurrent = nullptr;
 void
 Fiber::run()
 {
-    // Exceptions must not cross the context switch back to the host.
+    // Exceptions must not cross the context switch back to the host,
+    // and a thread body that throws has left its simulated state (an
+    // open transaction, a held barrier) dangling: fail the run.
     try {
         fn_();
     } catch (...) {
-        assert(false && "uncaught exception escaped a simulated thread");
+        COMMTM_CHECK(false, "exception escaped simulated thread on core %u",
+                     unsigned(core_));
     }
     finished_ = true;
 }
@@ -98,8 +103,8 @@ commtmFiberSwitch:
         .size commtmFiberSwitch, .-commtmFiberSwitch
 )");
 
-Fiber::Fiber(EntryFn fn, size_t stack_size)
-    : fn_(std::move(fn)), stack_(new char[stack_size])
+Fiber::Fiber(EntryFn fn, CoreId core, size_t stack_size)
+    : fn_(std::move(fn)), core_(core), stack_(new char[stack_size])
 {
     // Lay out a fake commtmFiberSwitch frame at the top of the fresh
     // stack so the first resume() "returns" into entryThunk. Layout
@@ -161,8 +166,8 @@ Fiber::yield()
 // Portable backend: ucontext.
 // ---------------------------------------------------------------------
 
-Fiber::Fiber(EntryFn fn, size_t stack_size)
-    : fn_(std::move(fn)), stack_(new char[stack_size]),
+Fiber::Fiber(EntryFn fn, CoreId core, size_t stack_size)
+    : fn_(std::move(fn)), core_(core), stack_(new char[stack_size]),
       stackSize_(stack_size)
 {
     getcontext(&ctx_);

@@ -25,6 +25,8 @@
 #include <functional>
 #include <memory>
 
+#include "sim/types.h"
+
 // Select the switching backend. The raw switch does not annotate stack
 // changes for sanitizers, so sanitized builds fall back to ucontext.
 #if !defined(COMMTM_FIBER_UCONTEXT)
@@ -58,8 +60,10 @@ class Fiber
   public:
     using EntryFn = std::function<void()>;
 
-    /** Create a fiber that will run @p fn when first resumed. */
-    explicit Fiber(EntryFn fn, size_t stack_size = kDefaultStackSize);
+    /** Create a fiber that will run @p fn when first resumed; @p core
+     *  names the simulated core it runs in diagnostics. */
+    explicit Fiber(EntryFn fn, CoreId core = 0,
+                   size_t stack_size = kDefaultStackSize);
     ~Fiber() = default;
 
     Fiber(const Fiber &) = delete;
@@ -86,6 +90,7 @@ class Fiber
     void run();
 
     EntryFn fn_;
+    CoreId core_;
     std::unique_ptr<char[]> stack_;
 #if defined(COMMTM_FIBER_FAST_SWITCH)
     /** Entry point laid onto a fresh fiber stack; reads the fiber from

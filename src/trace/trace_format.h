@@ -1,7 +1,7 @@
 /**
  * @file
- * On-disk trace format shared by TraceWriter, TraceReader, and
- * tools/trace_info.py (docs/ARCHITECTURE.md Sec. 11). A trace is the
+ * On-disk trace format shared by TraceWriter and TraceReader
+ * (docs/ARCHITECTURE.md Sec. 11). A trace is the
  * logical per-thread operation stream of one Machine run — the ops a
  * workload body issued through ThreadContext, recorded at the API
  * level (pre label demotion, pre lazy-store conversion) so a replay

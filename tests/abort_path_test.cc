@@ -5,10 +5,14 @@
  * stay bit-identical under the exception-free abort path: a forced
  * two-core abort storm (eager and lazy), the stats-bucket attribution
  * of an aborted attempt's cycles, and a 256-thread deep-gather case
- * that stresses the flat (non-recursive) reduction drain.
+ * that stresses the flat (non-recursive) reduction drain. Death tests
+ * pin the two fatal misuses: a body that never checks txAborted(),
+ * and an exception escaping a thread body.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "lib/bounded_counter.h"
 #include "lib/comm_queue.h"
@@ -188,33 +192,40 @@ TEST(AbortPath, CooperativeTxAbortMakesOpsNoOpsAndRetries)
     EXPECT_EQ(agg.abortsByCause[size_t(AbortCause::Explicit)], 1u);
 }
 
-TEST(AbortPath, NonCooperativeBodyHitsTheExceptionFallback)
+TEST(AbortPathDeathTest, NonCooperativeBodyExhaustsTheNoOpBudget)
 {
     MachineConfig c;
     c.numCores = 1;
     Machine m(c);
     const Addr a = m.allocator().allocLines(1);
-    int attempts = 0;
     m.addThread([&](ThreadContext &ctx) {
         ctx.txRun([&] {
-            attempts++;
-            if (attempts == 1) {
-                ctx.txAbort();
-                // Never check txAborted(): spin past the no-op budget
-                // so the AbortException fallback force-unwinds us out
-                // of this (otherwise infinite) loop.
-                for (;;)
-                    ctx.read<int64_t>(a);
-            }
-            ctx.write<int64_t>(a, 7);
+            ctx.txAbort();
+            // Never check txAborted(): without the no-op budget this
+            // loop would hang the simulation.
+            for (;;)
+                ctx.read<int64_t>(a);
         });
     });
-    m.run();
-    EXPECT_EQ(attempts, 2);
-    EXPECT_EQ(m.memory().read<int64_t>(a), 7);
-    const ThreadStats agg = m.stats().aggregateThreads();
-    EXPECT_EQ(agg.txCommitted, 1u);
-    EXPECT_EQ(agg.txAborted, 1u);
+    EXPECT_DEATH(m.run(), "core 0 .*\\(Explicit\\).*ctx.txAborted\\(\\)");
+}
+
+/** A body that throws leaves its transaction open; the run must fail
+ *  rather than count the thread as finished. */
+TEST(AbortPathDeathTest, ExceptionEscapingAThreadBodyIsFatal)
+{
+    MachineConfig c;
+    c.numCores = 2;
+    Machine m(c);
+    const Addr a = m.allocator().allocLines(1);
+    m.addThread([&](ThreadContext &ctx) { ctx.compute(10); });
+    m.addThread([&](ThreadContext &ctx) {
+        ctx.txRun([&] {
+            ctx.write<int64_t>(a, 1);
+            throw std::runtime_error("workload bug");
+        });
+    });
+    EXPECT_DEATH(m.run(), "exception escaped simulated thread on core 1");
 }
 
 /**
@@ -258,9 +269,9 @@ TEST(AbortPath, DeepGatherAt256Threads)
 // ---------------------------------------------------------------------
 // CommQueue additions (the queue layer the intruder/labyrinth/yada
 // workloads are built on): a pinned two-core abort storm over one
-// queue, the exception-fallback budget under a non-cooperative queue
-// body, and the address-drift regression for enqueue's in-transaction
-// chunk allocation.
+// queue, the no-op budget under a non-cooperative queue body, and the
+// address-drift regression for enqueue's in-transaction chunk
+// allocation.
 // ---------------------------------------------------------------------
 
 /**
@@ -324,37 +335,28 @@ TEST(AbortPath, LazyQueueStormCountersArePinned)
     EXPECT_EQ(r.cycles, 24628u);
 }
 
-TEST(AbortPath, NonCooperativeQueueBodyHitsTheExceptionFallback)
+TEST(AbortPathDeathTest, NonCooperativeQueueBodyExhaustsTheNoOpBudget)
 {
     // A workload body that keeps issuing queue operations after its
-    // abort (never checking txAborted) must be force-unwound by the
-    // no-op budget: every nested dequeue body observes the zeroed
-    // sentinel, returns false, and the loop would spin forever.
+    // abort (never checking txAborted) must stop at the no-op budget:
+    // every nested dequeue body observes the zeroed sentinel, returns
+    // false, and the loop would spin forever.
     MachineConfig c;
     c.numCores = 1;
     c.mode = SystemMode::CommTm;
     Machine m(c);
     const Label label = CommQueue::defineLabel(m);
     CommQueue queue(m, label);
-    int attempts = 0;
     m.addThread([&](ThreadContext &ctx) {
         queue.enqueue(ctx, 41);
         ctx.txRun([&] {
-            attempts++;
-            if (attempts == 1) {
-                ctx.txAbort();
-                uint64_t out;
-                for (;;)
-                    queue.dequeue(ctx, &out);
-            }
-            queue.enqueue(ctx, 43);
+            ctx.txAbort();
+            uint64_t out;
+            for (;;)
+                queue.dequeue(ctx, &out);
         });
     });
-    m.run();
-    EXPECT_EQ(attempts, 2);
-    EXPECT_EQ(queue.peekSize(m), 2u);
-    const ThreadStats agg = m.stats().aggregateThreads();
-    EXPECT_GE(agg.txAborted, 1u);
+    EXPECT_DEATH(m.run(), "core 0 .*\\(Explicit\\).*ctx.txAborted\\(\\)");
 }
 
 /**

@@ -132,8 +132,9 @@ TEST(UEviction, ForwardWhileTransactionHasBufferedWrites)
             t0InTx = true;
             // Stay inside the transaction until core 1's flood has
             // evicted its U copy (the first attempt is doomed by the
-            // resulting forward; compute() observes the doom).
-            while (!floodDone)
+            // resulting forward; compute() observes the doom, and from
+            // then on is a no-op that never yields to core 1).
+            while (!floodDone && !ctx.txAborted())
                 ctx.compute(50);
         });
     });
@@ -247,7 +248,8 @@ TEST(BlockAccess, TransactionalBlockWritesAreAtomic)
             ctx.writeBytes(a, ones.data(), ones.size());
             if (first) {
                 first = false;
-                throw AbortException{AbortCause::Explicit, false};
+                ctx.txAbort();
+                return;
             }
         });
     });

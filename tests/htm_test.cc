@@ -51,7 +51,8 @@ TEST(Htm, AbortedWritesAreInvisible)
             if (first) {
                 first = false;
                 // Force one abort: the buffered 99 must be discarded.
-                throw AbortException{AbortCause::Explicit, false};
+                ctx.txAbort();
+                return;
             }
             ctx.write<int64_t>(a, 2);
         });

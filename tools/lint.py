@@ -9,11 +9,11 @@ Mechanizes the hand-maintained source rules:
   file-ext       C++ sources use the .cc extension; .cpp under src/,
                  tests/, bench/, or examples/ is flagged (the tree
                  once mixed both; build globs assume .cc)
-  tx-aborted     in src/lib/ and src/apps/ transaction bodies, a
-                 readLabeled/readGather call must be followed by a
-                 ctx.txAborted() check inside the same brace scope
-                 (the cooperative-unwind contract,
-                 docs/ARCHITECTURE.md Sec. 4.1)
+  tx-aborted     in transaction-body code (src/lib/, src/apps/,
+                 examples/, bench/), a readLabeled/readGather call
+                 must be followed by a ctx.txAborted() check inside
+                 the same brace scope (the cooperative-unwind
+                 contract, docs/ARCHITECTURE.md Sec. 4.1)
   sec-ref        arabic "Sec. N[.M]" comment references must name an
                  existing section of docs/ARCHITECTURE.md; roman
                  references (paper sections, e.g. Sec. III-B4) must be
@@ -50,6 +50,7 @@ CXX_GLOBS = [
     "bench/*.h",
     "bench/*.cc",
     "examples/*.cc",
+    "tools/*.cc",
 ]
 # Wrong-extension sources: linted for file-ext, not for content (they
 # should not exist; the build globs only pick up .cc).
@@ -59,7 +60,13 @@ BAD_EXT_GLOBS = [
     "bench/*.cpp",
     "examples/*.cpp",
 ]
-TX_BODY_GLOBS = ["src/lib/*.cc", "src/apps/*.cc"]
+TX_BODY_GLOBS = [
+    "src/lib/*.cc",
+    "src/apps/*.cc",
+    "examples/*.cc",
+    "bench/*.cc",
+    "bench/*.h",
+]
 
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow-([a-z-]+)")
 
