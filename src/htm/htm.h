@@ -21,8 +21,6 @@
 
 namespace commtm {
 
-class CommitLog;
-
 /**
  * Per-machine transaction manager. One transaction context per core
  * (the paper's HTM is single-transaction-per-hardware-thread).
@@ -61,14 +59,13 @@ class HtmManager final : public HtmHooks
      * Both walks visit lines in ascending address order, so victim
      * order and publication order are platform-independent.
      *
-     * Commit is atomic in simulated time (no yields), so when a
-     * CommitLog is attached the record sealed here lands in exact
-     * functional commit order. @p now (the committer's cycle) is
-     * recorded as the commit cycle; it never affects behavior.
+     * Commit is atomic in simulated time (no yields). Observers that
+     * need the committed write set (the commit log) read it through
+     * writeBuffer() and labeledLine() right before calling this.
      * @return extra commit latency (lazy write publication); 0 in
      *         eager mode, where the writes already own their lines.
      */
-    Cycle commit(CoreId core, Cycle now = 0);
+    Cycle commit(CoreId core);
 
     /**
      * Locally abort the current attempt: discard the write buffer,
@@ -95,11 +92,14 @@ class HtmManager final : public HtmHooks
 
     WriteBuffer &writeBuffer(CoreId core) { return txs_[core].wb; }
 
-    /** Attach the machine's commit log (nullptr = recording off).
-     *  Observation-only: commit() additionally folds the committed
-     *  conventional write-buffer lines into the log and seals the
-     *  record. */
-    void setCommitLog(CommitLog *log) { log_ = log; }
+    /** @p line is in the labeled set of @p core's attempt: its
+     *  buffered writes commit into a U partial, not simulated
+     *  memory. */
+    bool
+    labeledLine(CoreId core, Addr line) const
+    {
+        return txs_[core].labeledSet.contains(line);
+    }
 
     // --- HtmHooks (called by the coherence protocol) ---
     // Inline and final: MemorySystem's direct-dispatch path relies on
@@ -176,7 +176,6 @@ class HtmManager final : public HtmHooks
     const MachineConfig &cfg_;
     MemorySystem &mem_;
     SimMemory &memory_;
-    CommitLog *log_ = nullptr;
     std::vector<Tx> txs_;
     Timestamp nextTs_ = 1;
 };

@@ -1389,7 +1389,7 @@ MemorySystem::access(const Access &req)
     if (req.isTx && !req.handler && !res.mustAbort())
         markSpec(req, line);
 
-    // End-of-drain sweep (MachineConfig::invariantOnDrain). Handler
+    // End-of-drain sweep (MachineConfig::invariantDense). Handler
     // re-entries are skipped: mid-reduction the machine is legitimately
     // transient (e.g. onEvictL3 reuses the L3 slot while the remaining
     // sharers still hold their copies), and only the top-level drain

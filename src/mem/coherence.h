@@ -167,7 +167,7 @@ class MemorySystem
     std::vector<LineData> debugUCopies(Addr line) const;
 
     /** Install the invariant checker for end-of-drain-loop sweeps
-     *  (MachineConfig::invariantOnDrain); nullptr disables them. */
+     *  (MachineConfig::invariantDense); nullptr disables them. */
     void setInvariantChecker(InvariantChecker *checker)
     {
         invariants_ = checker;
@@ -332,7 +332,7 @@ class MemorySystem
     std::vector<std::unique_ptr<PerCore>> cores_;
     CacheArray<L3Line> l3_;
     /** End-of-drain-loop sweep hook; installed only when
-     *  MachineConfig::invariantOnDrain is set. */
+     *  MachineConfig::invariantDense is set. */
     InvariantChecker *invariants_ = nullptr;
 
     /** Live handler-issued access() frames. Handlers cannot touch U

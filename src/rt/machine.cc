@@ -28,6 +28,9 @@ static constexpr uint32_t kDefaultCrossCheckEvery = 1024;
 static constexpr uint32_t kDefaultCrossCheckEvery = 0;
 #endif
 
+/** Cycles between periodic invariant sweeps (Sec. 10.2). */
+static constexpr Cycle kInvariantPeriod = 100000;
+
 Machine::Machine(MachineConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), labels_(cfg.hwLabels)
 {
@@ -44,10 +47,8 @@ Machine::Machine(MachineConfig cfg)
     // COMMTM_RECORD_COMMITS forces observation-only commit recording
     // on for any run (the CI oracle legs use it to prove the baseline
     // wall is bit-identical with the log enabled).
-    if (cfg_.recordCommits || std::getenv("COMMTM_RECORD_COMMITS")) {
+    if (cfg_.recordCommits || std::getenv("COMMTM_RECORD_COMMITS"))
         commitLog_ = std::make_unique<CommitLog>(cfg_.numCores);
-        htm_->setCommitLog(commitLog_.get());
-    }
     // COMMTM_CAPTURE_TRACE forces observation-only trace capture on
     // for any run (the CI baseline legs use it to prove the wall is
     // bit-identical with the hooks live). Any value enables capture;
@@ -63,24 +64,18 @@ Machine::Machine(MachineConfig cfg)
         }
     }
     // COMMTM_CHECK_INVARIANTS forces observation-only invariant sweeps
-    // on for any run: any value enables the periodic sweeps, "commit"
-    // adds transaction-boundary sweeps, "drain" adds both those and
-    // end-of-drain-loop sweeps (fuzz-scale machines only; see
-    // MachineConfig). mem_/htm_ hold references to this cfg_, so the
-    // upgraded knobs are visible to them.
+    // on for any run: any value enables the periodic sweeps, "drain"
+    // adds the dense transaction-boundary and end-of-drain-loop sweeps
+    // (fuzz-scale machines only; see MachineConfig::invariantDense).
     if (const char *env = std::getenv("COMMTM_CHECK_INVARIANTS")) {
         cfg_.checkInvariants = true;
-        if (std::strcmp(env, "commit") == 0) {
-            cfg_.invariantOnTxEnd = true;
-        } else if (std::strcmp(env, "drain") == 0) {
-            cfg_.invariantOnTxEnd = true;
-            cfg_.invariantOnDrain = true;
-        }
+        if (std::strcmp(env, "drain") == 0)
+            cfg_.invariantDense = true;
     }
     if (cfg_.checkInvariants) {
         invariants_ =
             std::make_unique<InvariantChecker>(cfg_, *mem_, *htm_);
-        if (cfg_.invariantOnDrain)
+        if (cfg_.invariantDense)
             mem_->setInvariantChecker(invariants_.get());
     }
     crossCheckEvery_ = cfg_.schedCrossCheckEvery
@@ -248,11 +243,9 @@ Machine::run()
         }
         // Scheduler boundaries are consistent sync points: no access()
         // frame or handler is in flight between fiber resumes.
-        if (invariants_ && cfg_.invariantPeriod &&
-            best->nextCycle_ >= nextInvariantSweep_) {
+        if (invariants_ && best->nextCycle_ >= nextInvariantSweep_) {
             invariants_->check(InvariantChecker::SyncPoint::Periodic);
-            nextInvariantSweep_ =
-                best->nextCycle_ + cfg_.invariantPeriod;
+            nextInvariantSweep_ = best->nextCycle_ + kInvariantPeriod;
         }
         yieldThreshold_ = second;
         if (yieldThreshold_ != kInfinity)
@@ -275,20 +268,21 @@ Machine::run()
     }
     running_ = false;
     // Final sweep: every run ends with at least one full check, even
-    // when it was shorter than invariantPeriod.
+    // when it was shorter than kInvariantPeriod.
     if (invariants_)
         invariants_->check(InvariantChecker::SyncPoint::Manual);
     // COMMTM_CAPTURE_TRACE=<path>: persist the capture (re-written at
     // the end of every run; the last machine/run wins).
     if (trace_ && !traceFile_.empty()) {
         const std::vector<uint8_t> bytes = trace_->serialize();
-        if (std::FILE *f = std::fopen(traceFile_.c_str(), "wb")) {
-            std::fwrite(bytes.data(), 1, bytes.size(), f);
-            std::fclose(f);
-        } else {
-            std::fprintf(stderr, "cannot write trace file %s\n",
-                         traceFile_.c_str());
-        }
+        const char *path = traceFile_.c_str();
+        std::FILE *f = std::fopen(path, "wb");
+        COMMTM_CHECK(f, "cannot open trace file %s", path);
+        COMMTM_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+                         bytes.size(),
+                     "short write to trace file %s", path);
+        COMMTM_CHECK(std::fclose(f) == 0,
+                     "cannot close trace file %s", path);
     }
 }
 
@@ -362,6 +356,21 @@ Machine::resetStats()
 // ---------------------------------------------------------------------
 // ThreadContext out-of-line members
 // ---------------------------------------------------------------------
+
+void
+ThreadContext::sealCommit(CommitLog &log)
+{
+    HtmManager &htm = machine_.htm();
+    htm.writeBuffer(core_).forEach(
+        [&](Addr line, const WriteBuffer::Entry &e) {
+            // Labeled lines commit into U partials whose bytes are
+            // order-dependent; the write digest covers only the
+            // conventional write set.
+            if (!htm.labeledLine(core_, line))
+                log.noteWriteLine(core_, line, e.mask, e.data.data());
+        });
+    log.sealCommit(core_, nextCycle_);
+}
 
 void
 ThreadContext::barrier()

@@ -177,6 +177,9 @@ class ThreadContext
      *  or outside a transaction). */
     void noteLabeledOp(CommitOpKind kind, Addr addr, Label label,
                        const void *operand, uint32_t size);
+    /** Observation-only, at the commit point: fold the conventional
+     *  write-buffer lines into @p log and seal the record. */
+    void sealCommit(CommitLog &log);
 
     Machine &machine_;
     CoreId core_;
@@ -317,12 +320,11 @@ class Machine
     uint32_t liveThreads() const;
 
     /** Commit/abort-boundary invariant sweep (txRun); a no-op unless
-     *  checking is on and MachineConfig::invariantOnTxEnd asks for
-     *  transaction-boundary density. */
+     *  checking is on at MachineConfig::invariantDense density. */
     void
     invariantSync(InvariantChecker::SyncPoint where)
     {
-        if (invariants_ && cfg_.invariantOnTxEnd)
+        if (invariants_ && cfg_.invariantDense)
             invariants_->check(where);
     }
 
@@ -590,8 +592,8 @@ ThreadContext::writeBytes(Addr addr, const void *src, size_t size)
 // store conversion: a replay re-resolves those through the machine it
 // runs on. Ops issued while an abort is already pending are true
 // no-ops and are not recorded; ops of an attempt that later aborts
-// are buffered and discarded by the writer (trace/trace_writer.h), so
-// the captured stream holds exactly the committed attempts.
+// are truncated away by the writer (trace/trace_writer.h), so the
+// captured stream holds exactly the committed attempts.
 
 inline void
 ThreadContext::readUntyped(Addr addr, void *out, size_t size)
@@ -749,12 +751,14 @@ ThreadContext::txRun(Body &&body)
             checkDoomed();
         }
         if (!txAbortPending_) {
-            // Commit (and seal the commit-log record, if recording).
-            // The commit itself is atomic in simulated time; flushing
-            // the captured attempt before the latency advance (which
-            // can yield) guarantees the trace's commit order equals
-            // the functional commit order.
-            const Cycle commitLat = htm.commit(core_, nextCycle_);
+            // Commit. The commit itself is atomic in simulated time;
+            // sealing the commit-log record and closing the captured
+            // attempt before the latency advance (which can yield)
+            // guarantees both observers see the functional commit
+            // order.
+            if (machine_.commitLog_)
+                sealCommit(*machine_.commitLog_);
+            const Cycle commitLat = htm.commit(core_);
             if (trace_)
                 trace_->commitAttempt(core_);
             advance(commitLat);
@@ -767,6 +771,8 @@ ThreadContext::txRun(Body &&body)
             return;
         }
         const AbortCause cause = abortCause_;
+        if (machine_.commitLog_)
+            machine_.commitLog_->abortAttempt(core_);
         if (trace_)
             trace_->abortAttempt(core_);
         const Cycle backoff = htm.abortAttempt(core_, cause, rng_);

@@ -58,7 +58,8 @@ hex(uint64_t v)
 } // namespace
 
 CommitLog::CommitLog(uint32_t num_cores)
-    : pending_(num_cores), commits_(num_cores, 0)
+    : pending_(num_cores), commits_(num_cores, 0),
+      lastSealed_(num_cores, 0)
 {
 }
 
@@ -120,35 +121,15 @@ CommitLog::sealCommit(CoreId core, Cycle commit_cycle)
     rec.writeSet = p.writes.value();
     rec.labeledOps = p.labeledOps;
     rec.writeLines = p.writeLines;
+    lastSealed_[core] = rec.txId;
     records_.push_back(rec);
     p = Pending{};
-    for (Listener *l : listeners_)
-        l->onCommit(records_.back());
 }
 
 void
 CommitLog::abortAttempt(CoreId core)
 {
     pending_[core] = Pending{};
-    for (Listener *l : listeners_)
-        l->onAbort(core);
-}
-
-void
-CommitLog::addListener(Listener *listener)
-{
-    listeners_.push_back(listener);
-}
-
-void
-CommitLog::removeListener(Listener *listener)
-{
-    for (size_t i = 0; i < listeners_.size(); i++) {
-        if (listeners_[i] == listener) {
-            listeners_.erase(listeners_.begin() + long(i));
-            return;
-        }
-    }
 }
 
 void
@@ -252,6 +233,7 @@ CommitLog::deserialize(const std::vector<uint8_t> &buf, CommitLog *out,
                 std::to_string(r.core));
         }
         log.commits_[r.core]++;
+        log.lastSealed_[r.core] = r.txId;
         log.records_.push_back(r);
     }
     *out = std::move(log);

@@ -15,6 +15,7 @@
 #ifndef COMMTM_SIM_COMMIT_LOG_H
 #define COMMTM_SIM_COMMIT_LOG_H
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -122,26 +123,16 @@ enum class DiffMode {
 };
 
 /**
- * The per-machine commit log. The HTM commit path drives recording:
- * ThreadContext notes each labeled op that stayed labeled, HtmManager
- * notes the conventional write-buffer lines and seals the record at
- * the end of commit (commit order in the log therefore equals the
- * functional commit order — HtmManager::commit runs atomically in
- * simulated time). Aborted attempts discard their pending digests.
+ * The per-machine commit log. The runtime drives recording:
+ * ThreadContext notes each labeled op that stayed labeled, and
+ * txRun's commit point notes the conventional write-buffer lines and
+ * seals the record right before HtmManager::commit (no yield between
+ * the two, so commit order in the log equals the functional commit
+ * order). Aborted attempts discard their pending digests.
  */
 class CommitLog
 {
   public:
-    /** Observer hook: the replay oracle attaches structure-level ops
-     *  to the commit stream through this. */
-    class Listener
-    {
-      public:
-        virtual ~Listener() = default;
-        virtual void onCommit(const CommitRecord &rec) = 0;
-        virtual void onAbort(CoreId core) { (void)core; }
-    };
-
     explicit CommitLog(uint32_t num_cores);
 
     // --- recording (called from the commit path) ---
@@ -161,15 +152,20 @@ class CommitLog
     /** Discard the pending digests of an aborted attempt. */
     void abortAttempt(CoreId core);
 
-    void addListener(Listener *listener);
-    void removeListener(Listener *listener);
-
     // --- inspection ---
 
     uint32_t numCores() const { return uint32_t(pending_.size()); }
     const std::vector<CommitRecord> &records() const { return records_; }
     /** Commits sealed so far by @p core. */
     uint32_t commitsOf(CoreId core) const { return commits_[core]; }
+    /** txId of the most recent commit sealed by @p core, which must
+     *  have committed at least once. */
+    uint64_t
+    lastSealedOf(CoreId core) const
+    {
+        assert(commits_[core] > 0 && "core has not committed yet");
+        return lastSealed_[core];
+    }
 
     // --- persistence and comparison ---
 
@@ -216,10 +212,10 @@ class CommitLog
         uint32_t writeLines = 0;
     };
 
-    std::vector<Pending> pending_;   //!< one open record per core
-    std::vector<uint32_t> commits_;  //!< per-core sealed-commit count
+    std::vector<Pending> pending_;     //!< one open record per core
+    std::vector<uint32_t> commits_;    //!< per-core sealed-commit count
+    std::vector<uint64_t> lastSealed_; //!< per-core latest txId
     std::vector<CommitRecord> records_;
-    std::vector<Listener *> listeners_;
 
     bool flipArmed_ = false;
     CoreId flipCore_ = 0;

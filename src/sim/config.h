@@ -110,25 +110,19 @@ struct MachineConfig {
      *  Machine::run(). */
     bool captureTrace = false;
     /** Sweep the machine-wide invariant checker (sim/invariants.h,
-     *  docs/ARCHITECTURE.md Sec. 10) at periodic scheduler sync points
-     *  (and at the sync points the knobs below add). Strictly
+     *  docs/ARCHITECTURE.md Sec. 10) every 100,000 cycles at a
+     *  scheduler sync point and once at the end of every run. Strictly
      *  observation-only: the baseline wall runs bit-identical with it
      *  on. Also forced on by the COMMTM_CHECK_INVARIANTS environment
-     *  variable: any value enables periodic sweeps; the value "commit"
-     *  additionally forces invariantOnTxEnd and "drain" forces both
-     *  invariantOnTxEnd and invariantOnDrain. */
+     *  variable; its value "drain" additionally forces
+     *  invariantDense. */
     bool checkInvariants = false;
-    /** Cycles between periodic invariant sweeps (0 = no periodic
-     *  sweeps). Only meaningful with checkInvariants. */
-    Cycle invariantPeriod = 100000;
-    /** Additionally sweep after every transaction commit and abort.
-     *  Meant for test-scale machines: a Table I bench commits millions
-     *  of transactions, and a full sweep per commit swamps the run. */
-    bool invariantOnTxEnd = false;
-    /** Additionally sweep at the end of every directory drain loop —
-     *  the densest sync point, meant for fuzz-scale machines whose
-     *  caches are tiny; sweeping a Table I machine per miss is slow. */
-    bool invariantOnDrain = false;
+    /** Additionally sweep after every transaction commit and abort and
+     *  at the end of every directory drain loop. Meant for fuzz-scale
+     *  machines whose caches are tiny: a Table I bench commits
+     *  millions of transactions, and a sweep per commit or per miss
+     *  swamps the run. Only meaningful with checkInvariants. */
+    bool invariantDense = false;
 
     // CommTM.
     SystemMode mode = SystemMode::CommTm;

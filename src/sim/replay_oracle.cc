@@ -52,21 +52,8 @@ requireLog(Machine &machine)
 } // namespace
 
 ReplayOracle::ReplayOracle(Machine &machine)
-    : machine_(machine), log_(requireLog(machine)),
-      lastSealed_(log_.numCores(), 0)
+    : machine_(machine), log_(requireLog(machine))
 {
-    log_.addListener(this);
-}
-
-ReplayOracle::~ReplayOracle()
-{
-    log_.removeListener(this);
-}
-
-void
-ReplayOracle::onCommit(const CommitRecord &rec)
-{
-    lastSealed_[rec.core] = rec.txId + 1;
 }
 
 uint32_t
@@ -83,9 +70,7 @@ ReplayOracle::recordOp(ThreadContext &ctx, ModelOp op)
            "recordOp attaches to a committed transaction; call it "
            "after the structure call returns");
     assert(op.structId < models_.size());
-    const uint64_t sealed = lastSealed_[ctx.id()];
-    assert(sealed > 0 && "core has not committed yet");
-    const uint64_t txId = sealed - 1;
+    const uint64_t txId = log_.lastSealedOf(ctx.id());
     if (opsByCommit_.size() <= txId)
         opsByCommit_.resize(txId + 1);
     opsByCommit_[txId].push_back(std::move(op));

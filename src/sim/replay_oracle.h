@@ -92,11 +92,10 @@ class StructureModel
  * transaction, which is exactly the one the call ran (every library
  * structure op is one txRun, and the simulator is sequential).
  */
-class ReplayOracle : public CommitLog::Listener
+class ReplayOracle
 {
   public:
     explicit ReplayOracle(Machine &machine);
-    ~ReplayOracle() override;
 
     ReplayOracle(const ReplayOracle &) = delete;
     ReplayOracle &operator=(const ReplayOracle &) = delete;
@@ -126,16 +125,10 @@ class ReplayOracle : public CommitLog::Listener
                         uint32_t op_index, uint32_t arg_index,
                         uint32_t byte_index);
 
-    // CommitLog::Listener
-    void onCommit(const CommitRecord &rec) override;
-    void onAbort(CoreId core) override { (void)core; }
-
   private:
     Machine &machine_;
     CommitLog &log_;
     std::vector<std::unique_ptr<StructureModel>> models_;
-    /** Per core: 1 + txId of its most recent commit (0 = none). */
-    std::vector<uint64_t> lastSealed_;
     /** Ops attached to each global commit, indexed by txId. */
     std::vector<std::vector<ModelOp>> opsByCommit_;
 

@@ -1,14 +1,13 @@
 /**
  * @file
- * TraceWriter implementation: per-thread varint/delta record encoding,
- * per-attempt buffering (flush on commit, discard on abort), and the
+ * TraceWriter implementation: per-thread varint/delta record encoding
+ * straight into the stream, truncation of aborted attempts, and the
  * sealed-header serializer.
  */
 
 #include "trace/trace_writer.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace commtm {
 
@@ -22,14 +21,15 @@ TraceWriter::TraceWriter(const MachineConfig &cfg)
 uint64_t
 TraceWriter::recordsOf(CoreId core) const
 {
-    return streams_[core].records;
+    return streams_[core].committed().records;
 }
 
 void
-TraceWriter::encode(Stream &s, TraceOpKind kind, Addr addr,
-                    uint32_t size, Label label, const uint8_t *data,
+TraceWriter::encode(CoreId core, TraceOpKind kind, Addr addr,
+                    uint32_t size, Label label, const void *data,
                     uint64_t a, uint64_t b)
 {
+    Stream &s = streams_[core];
     s.bytes.push_back(uint8_t(kind));
     switch (kind) {
       case TraceOpKind::Compute:
@@ -47,7 +47,8 @@ TraceWriter::encode(Stream &s, TraceOpKind kind, Addr addr,
             s.bytes.push_back(label);
         if (kind == TraceOpKind::Store ||
             kind == TraceOpKind::LabeledStore) {
-            s.bytes.insert(s.bytes.end(), data, data + size);
+            const auto *bytes = static_cast<const uint8_t *>(data);
+            s.bytes.insert(s.bytes.end(), bytes, bytes + size);
         }
         break;
       case TraceOpKind::TxBegin:
@@ -63,97 +64,13 @@ TraceWriter::encode(Stream &s, TraceOpKind kind, Addr addr,
 }
 
 void
-TraceWriter::note(CoreId core, TraceOpKind kind, Addr addr,
-                  uint32_t size, Label label, const void *data,
-                  uint64_t a, uint64_t b)
-{
-    Stream &s = streams_[core];
-    if (!s.inAttempt) {
-        encode(s, kind, addr, size, label,
-               static_cast<const uint8_t *>(data), a, b);
-        return;
-    }
-    PendingOp op;
-    op.kind = kind;
-    op.addr = addr;
-    op.size = size;
-    op.label = label;
-    op.a = a;
-    op.b = b;
-    if (data != nullptr) {
-        op.dataOff = uint32_t(s.attemptData.size());
-        op.dataLen = size;
-        const auto *bytes = static_cast<const uint8_t *>(data);
-        s.attemptData.insert(s.attemptData.end(), bytes, bytes + size);
-    }
-    s.attempt.push_back(op);
-}
-
-void
-TraceWriter::noteCompute(CoreId core, uint64_t instrs)
-{
-    note(core, TraceOpKind::Compute, 0, 0, kNoLabel, nullptr, instrs,
-         0);
-}
-
-void
-TraceWriter::noteLoad(CoreId core, Addr addr, uint32_t size)
-{
-    note(core, TraceOpKind::Load, addr, size, kNoLabel, nullptr, 0, 0);
-}
-
-void
-TraceWriter::noteStore(CoreId core, Addr addr, uint32_t size,
-                       const void *data)
-{
-    note(core, TraceOpKind::Store, addr, size, kNoLabel, data, 0, 0);
-}
-
-void
-TraceWriter::noteLabeledLoad(CoreId core, Addr addr, uint32_t size,
-                             Label label)
-{
-    note(core, TraceOpKind::LabeledLoad, addr, size, label, nullptr, 0,
-         0);
-}
-
-void
-TraceWriter::noteLabeledStore(CoreId core, Addr addr, uint32_t size,
-                              Label label, const void *data)
-{
-    note(core, TraceOpKind::LabeledStore, addr, size, label, data, 0,
-         0);
-}
-
-void
-TraceWriter::noteGather(CoreId core, Addr addr, uint32_t size,
-                        Label label)
-{
-    note(core, TraceOpKind::Gather, addr, size, label, nullptr, 0, 0);
-}
-
-void
-TraceWriter::noteBarrier(CoreId core)
-{
-    assert(!streams_[core].inAttempt &&
-           "barriers cannot appear inside transactions");
-    note(core, TraceOpKind::Barrier, 0, 0, kNoLabel, nullptr, 0, 0);
-}
-
-void
-TraceWriter::noteAnnotation(CoreId core, uint32_t code, uint64_t value)
-{
-    note(core, TraceOpKind::Annotation, 0, 0, kNoLabel, nullptr, code,
-         value);
-}
-
-void
 TraceWriter::beginAttempt(CoreId core)
 {
     Stream &s = streams_[core];
-    s.attempt.clear();
-    s.attemptData.clear();
+    assert(!s.inAttempt);
+    s.mark = s.committed();
     s.inAttempt = true;
+    encode(core, TraceOpKind::TxBegin);
 }
 
 void
@@ -161,16 +78,7 @@ TraceWriter::commitAttempt(CoreId core)
 {
     Stream &s = streams_[core];
     assert(s.inAttempt);
-    encode(s, TraceOpKind::TxBegin, 0, 0, kNoLabel, nullptr, 0, 0);
-    for (const PendingOp &op : s.attempt) {
-        const uint8_t *data =
-            op.dataLen ? s.attemptData.data() + op.dataOff : nullptr;
-        encode(s, op.kind, op.addr, op.size, op.label, data, op.a,
-               op.b);
-    }
-    encode(s, TraceOpKind::TxEnd, 0, 0, kNoLabel, nullptr, 0, 0);
-    s.attempt.clear();
-    s.attemptData.clear();
+    encode(core, TraceOpKind::TxEnd);
     s.inAttempt = false;
     commitOrder_.push_back(core);
 }
@@ -180,8 +88,9 @@ TraceWriter::abortAttempt(CoreId core)
 {
     Stream &s = streams_[core];
     assert(s.inAttempt);
-    s.attempt.clear();
-    s.attemptData.clear();
+    s.bytes.resize(s.mark.bytes);
+    s.records = s.mark.records;
+    s.lastAddr = s.mark.lastAddr;
     s.inAttempt = false;
 }
 
@@ -192,7 +101,7 @@ TraceWriter::serialize() const
     size_t total = kHeaderBytes + streams_.size() * kThreadEntryBytes +
                    commitOrder_.size();
     for (const Stream &s : streams_)
-        total += s.bytes.size();
+        total += s.committed().bytes;
     out.reserve(total);
 
     const auto put32 = [&out](uint32_t v) {
@@ -211,11 +120,13 @@ TraceWriter::serialize() const
     put64(fingerprint_);
     put64(commitOrder_.size());
     for (const Stream &s : streams_) {
-        put64(s.records);
-        put64(s.bytes.size());
+        put64(s.committed().records);
+        put64(s.committed().bytes);
     }
-    for (const Stream &s : streams_)
-        out.insert(out.end(), s.bytes.begin(), s.bytes.end());
+    for (const Stream &s : streams_) {
+        out.insert(out.end(), s.bytes.begin(),
+                   s.bytes.begin() + long(s.committed().bytes));
+    }
     for (const CoreId core : commitOrder_)
         putVarint(out, core);
     return out;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the commit log (docs/ARCHITECTURE.md Sec. 9): pinned
- * digest values for a tiny two-core eager run (the serialized format
+ * digest values for a tiny two-core run, eager and lazy (the format
  * and the digest definition are both contracts — a refactor that
  * changes either must show up here), serialize/deserialize round
  * trips, precise rejection diagnostics for corrupted logs, the three
@@ -21,12 +21,12 @@ namespace commtm {
 namespace {
 
 MachineConfig
-twoCoreConfig()
+twoCoreConfig(ConflictDetection detection = ConflictDetection::Eager)
 {
     MachineConfig c = MachineConfig::forCores(2);
     c.numCores = 2;
     c.mode = SystemMode::CommTm;
-    c.conflictDetection = ConflictDetection::Eager;
+    c.conflictDetection = detection;
     c.seed = 42;
     c.recordCommits = true;
     return c;
@@ -44,9 +44,17 @@ foldShape(FnvDigest &d, CommitOpKind kind, Addr addr, Label label,
     d.u32(size);
 }
 
-TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
+/** The pinned two-core run, parameterized on the detection mode.
+ *  The digests are pure functions of the committed op stream, so
+ *  both modes pin the same values; lazy mode runs the write digest
+ *  through commit-time arbitration and write publication. */
+class CommitLogPinned : public ::testing::TestWithParam<ConflictDetection>
 {
-    Machine m(twoCoreConfig());
+};
+
+TEST_P(CommitLogPinned, DigestsForTwoCoreRun)
+{
+    Machine m(twoCoreConfig(GetParam()));
     ASSERT_NE(m.commitLog(), nullptr);
     const Label add =
         m.labels().define(labels::makeAdd<int64_t>("ADD"));
@@ -137,6 +145,15 @@ TEST(CommitLog, PinnedDigestsForTwoCoreEagerRun)
     EXPECT_EQ(r2.labeledShape, 0x5d0f511f8a7ddd5aull);
     EXPECT_EQ(FnvDigest::kBasis, 0xcbf29ce484222325ull);
 }
+
+INSTANTIATE_TEST_SUITE_P(CommitLog, CommitLogPinned,
+                         ::testing::Values(ConflictDetection::Eager,
+                                           ConflictDetection::Lazy),
+                         [](const auto &run) {
+                             return run.param == ConflictDetection::Eager
+                                        ? std::string("Eager")
+                                        : std::string("Lazy");
+                         });
 
 /** Host-built three-record sample log: core 0 commits a labeled
  *  store and later an empty transaction, core 1 commits one
@@ -294,32 +311,37 @@ TEST(CommitLog, DiffModesSeparateInterleavingValuesAndShape)
         << d.message;
 }
 
-TEST(CommitLog, AbortDiscardsPendingDigestsAndNotifiesListeners)
+TEST(CommitLog, AbortDiscardsPendingDigests)
 {
-    struct Counting : CommitLog::Listener {
-        int commits = 0;
-        int aborts = 0;
-        void onCommit(const CommitRecord &) override { commits++; }
-        void onAbort(CoreId) override { aborts++; }
-    } counting;
-
-    CommitLog log(1);
-    log.addListener(&counting);
+    CommitLog log(2);
     const int64_t v = 99;
     log.noteLabeledOp(0, CommitOpKind::LabeledStore, 0x10000, 1, &v,
                       sizeof(v));
-    log.abortAttempt(0); // discard the attempt's digests
+    log.noteLabeledOp(1, CommitOpKind::LabeledStore, 0x10040, 1, &v,
+                      sizeof(v));
+    log.abortAttempt(0); // discard core 0's digests only
     log.sealCommit(0, 50);
-    log.removeListener(&counting);
-    log.sealCommit(0, 60); // not observed: listener removed
+    log.sealCommit(1, 55);
+    log.sealCommit(0, 60);
 
-    ASSERT_EQ(log.records().size(), 2u);
-    const CommitRecord &r = log.records()[0];
-    EXPECT_EQ(r.labeledShape, FnvDigest::kBasis);
-    EXPECT_EQ(r.labeledValues, FnvDigest::kBasis);
-    EXPECT_EQ(r.labeledOps, 0u);
-    EXPECT_EQ(counting.commits, 1);
-    EXPECT_EQ(counting.aborts, 1);
+    ASSERT_EQ(log.records().size(), 3u);
+    const CommitRecord &r0 = log.records()[0];
+    EXPECT_EQ(r0.labeledShape, FnvDigest::kBasis);
+    EXPECT_EQ(r0.labeledValues, FnvDigest::kBasis);
+    EXPECT_EQ(r0.labeledOps, 0u);
+    EXPECT_EQ(log.records()[1].labeledOps, 1u); // core 1's survived
+    EXPECT_EQ(log.lastSealedOf(0), 2u);
+    EXPECT_EQ(log.lastSealedOf(1), 1u);
+    EXPECT_EQ(log.commitsOf(0), 2u);
+    EXPECT_EQ(log.commitsOf(1), 1u);
+
+    // A deserialized log answers the same query.
+    CommitLog parsed(0);
+    std::string err;
+    ASSERT_TRUE(CommitLog::deserialize(log.serialize(), &parsed, &err))
+        << err;
+    EXPECT_EQ(parsed.lastSealedOf(0), 2u);
+    EXPECT_EQ(parsed.lastSealedOf(1), 1u);
 }
 
 TEST(CommitLog, OperandFlipHookChangesOnlyTheValuesDigest)

@@ -60,10 +60,8 @@ fuzzConfig(uint64_t seed, uint32_t cores)
     // 130-256 cores multiplies Debug fuzz time ~10x without adding
     // invariant coverage.
     c.checkInvariants = true;
-    if (cores <= 128) {
-        c.invariantOnTxEnd = true;
-        c.invariantOnDrain = true;
-    }
+    if (cores <= 128)
+        c.invariantDense = true;
 
     return c;
 }

@@ -6,12 +6,14 @@
  * serialize/parse round trips, precise rejection diagnostics for
  * corrupted traces, capture-vs-replay bit-identity for closed-loop
  * and seed-randomized fuzz workloads, replay determinism at 128 and
- * 256 threads under eager and lazy conflict detection, and the
- * COMMTM_CAPTURE_TRACE override.
+ * 256 threads under eager and lazy conflict detection, exclusion of
+ * an open attempt, and the COMMTM_CAPTURE_TRACE override (including a
+ * fatal check when its file cannot be written).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -492,6 +494,70 @@ TEST(Trace, FuzzWorkloadReplaysBitIdentically)
         recaptured = m.traceWriter()->serialize();
     }
     EXPECT_EQ(recaptured, bytes) << "seed " << seed;
+}
+
+/** An attempt still open is not part of the capture: serialize()
+ *  and recordsOf() answer as they did before beginAttempt, and an
+ *  abort leaves the writer exactly where it was. */
+TEST(Trace, OpenAttemptIsExcludedFromSerializeAndRecords)
+{
+    TraceWriter w = sampleWriter();
+    const std::vector<uint8_t> before = w.serialize();
+    const uint64_t records0 = w.recordsOf(0);
+    const uint64_t records1 = w.recordsOf(1);
+    const uint64_t operand = 42;
+
+    w.beginAttempt(0);
+    w.noteStore(0, 0x30000, 8, &operand);
+    w.noteCompute(0, 3);
+    EXPECT_EQ(w.serialize(), before);
+    EXPECT_EQ(w.recordsOf(0), records0);
+    EXPECT_EQ(w.recordsOf(1), records1);
+
+    w.abortAttempt(0);
+    EXPECT_EQ(w.serialize(), before);
+    EXPECT_EQ(w.recordsOf(0), records0);
+
+    // The same attempt committed: TxBegin, Store, Compute, TxEnd.
+    w.beginAttempt(0);
+    w.noteStore(0, 0x30000, 8, &operand);
+    w.noteCompute(0, 3);
+    w.commitAttempt(0);
+    EXPECT_EQ(w.recordsOf(0), records0 + 4);
+    EXPECT_GT(w.serialize().size(), before.size());
+}
+
+/** Run a two-thread capture with COMMTM_CAPTURE_TRACE=@p path. */
+void
+captureTo(const char *path)
+{
+    ASSERT_EQ(setenv("COMMTM_CAPTURE_TRACE", path, 1), 0);
+    MachineConfig c = MachineConfig::forCores(2);
+    c.numCores = 2;
+    Machine m(c);
+    const Addr a = m.allocator().allocLines(1);
+    for (int t = 0; t < 2; t++) {
+        m.addThread([&](ThreadContext &ctx) {
+            ctx.txRun([&] { ctx.write<uint64_t>(a, 1); });
+        });
+    }
+    m.run();
+}
+
+/** A capture file that cannot be written fails the run, naming the
+ *  path, instead of being skipped with a warning. */
+TEST(TraceDeathTest, UnwritableCaptureFileIsFatal)
+{
+    EXPECT_DEATH(captureTo("/nonexistent/dir/x.trace"),
+                 "cannot open trace file /nonexistent/dir/x.trace");
+    // /dev/full accepts the open and fails the write or the flush.
+    if (std::FILE *f = std::fopen("/dev/full", "wb")) {
+        std::fclose(f);
+        EXPECT_DEATH(captureTo("/dev/full"),
+                     "(short write to|cannot close) trace file "
+                     "/dev/full");
+    }
+    ASSERT_EQ(unsetenv("COMMTM_CAPTURE_TRACE"), 0);
 }
 
 TEST(Trace, EnvOverrideForcesCaptureOn)

@@ -14,6 +14,10 @@ Mechanizes the hand-maintained source rules:
                  must be followed by a ctx.txAborted() check inside
                  the same brace scope (the cooperative-unwind
                  contract, docs/ARCHITECTURE.md Sec. 4.1)
+  layering       files under src/htm/ and src/mem/ include no observer
+                 header (sim/commit_log.h, sim/replay_oracle.h,
+                 trace/*): the commit log and trace capture report
+                 from the runtime only (docs/ARCHITECTURE.md Sec. 9.1)
   sec-ref        arabic "Sec. N[.M]" comment references must name an
                  existing section of docs/ARCHITECTURE.md; roman
                  references (paper sections, e.g. Sec. III-B4) must be
@@ -67,6 +71,9 @@ TX_BODY_GLOBS = [
     "bench/*.cc",
     "bench/*.h",
 ]
+# Layers the observers (commit log, replay oracle, trace capture)
+# must not reach into.
+LAYERING_GLOBS = ["src/htm/*", "src/mem/*"]
 
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow-([a-z-]+)")
 
@@ -190,6 +197,21 @@ def check_tx_aborted(path, lines, findings):
                         "the enclosing function"))
 
 
+OBSERVER_INCLUDE_RE = re.compile(
+    r'^\s*#\s*include\s*"(sim/commit_log\.h|sim/replay_oracle\.h|'
+    r'trace/[^"]*)"')
+
+
+def check_layering(path, lines, findings):
+    for i, line in enumerate(lines, 1):
+        m = OBSERVER_INCLUDE_RE.match(line)
+        if m and not suppressed(lines, i, "layering"):
+            findings.append(
+                Finding(path, i, "layering",
+                        f'includes observer header "{m.group(1)}"; '
+                        "observers report from the runtime (src/rt/)"))
+
+
 SEC_REF_RE = re.compile(r"\bSec\.\s+([0-9A-Za-z.-]+)")
 ROMAN_RE = re.compile(r"^[IVX]+(-[A-Z][0-9]*)?$")
 ARCH_HEADING_RE = re.compile(r"^#{2,3}\s+(\d+(?:\.\d+)?)[.\s]")
@@ -226,7 +248,7 @@ def check_sec_refs(path, lines, findings, sections):
                             f'"Sec. {ref}"'))
 
 
-def lint_file(path, rel, findings, sections, tx_scope):
+def lint_file(path, rel, findings, sections, tx_scope, layered):
     lines = path.read_text().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -236,6 +258,8 @@ def lint_file(path, rel, findings, sections, tx_scope):
     check_sec_refs(rel, lines, findings, sections)
     if tx_scope:
         check_tx_aborted(rel, lines, findings)
+    if layered:
+        check_layering(rel, lines, findings)
 
 
 def run_lint(root):
@@ -244,16 +268,16 @@ def run_lint(root):
         print("lint: could not read docs/ARCHITECTURE.md headings",
               file=sys.stderr)
         return 1
-    tx_files = set()
-    for pattern in TX_BODY_GLOBS:
-        tx_files.update(root.glob(pattern))
-    files = set()
-    for pattern in CXX_GLOBS:
-        files.update(root.glob(pattern))
+    def glob_all(patterns):
+        return {p for pattern in patterns for p in root.glob(pattern)}
+
+    tx_files = glob_all(TX_BODY_GLOBS)
+    layered_files = glob_all(LAYERING_GLOBS)
+    files = glob_all(CXX_GLOBS)
     findings = []
     for path in sorted(files):
         lint_file(path, path.relative_to(root), findings, sections,
-                  path in tx_files)
+                  path in tx_files, path in layered_files)
     for pattern in BAD_EXT_GLOBS:
         for path in sorted(root.glob(pattern)):
             check_file_ext(path.relative_to(root), findings)
@@ -279,6 +303,11 @@ SELF_TESTS = [
     ("sec-ref", ["// see docs/ARCHITECTURE.md Sec. 6"], False),
     ("sec-ref", ["// reduction (Sec. III-B4)"], False),
     ("sec-ref", ["// reduction (Sec. iii-b4)"], True),
+    ("layering", ['#include "sim/commit_log.h"'], True),
+    ("layering", ['#include "trace/trace_writer.h"'], True),
+    ("layering", ['#include "sim/check.h"'], False),
+    ("layering", ['// lint: allow-layering',
+                  '#include "sim/replay_oracle.h"'], False),
 ]
 
 TX_BAD = """
@@ -357,6 +386,7 @@ def run_self_test(root):
         check_line_length("t.cc", lines, findings)
         check_tabs("t.cc", lines, findings)
         check_sec_refs("t.cc", lines, findings, sections)
+        check_layering("t.cc", lines, findings)
         fired = any(f.rule == rule for f in findings)
         expect(fired == should_fire,
                f"{rule} on {lines[:1]!r}: fired={fired}, "
