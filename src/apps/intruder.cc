@@ -144,7 +144,7 @@ runIntruder(const MachineConfig &machine_cfg, uint32_t threads,
     result.attacksDetected = attacks.peek(m);
     result.queueLeftover = queue.peekSize(m);
     if (m.commitLog())
-        result.commitLog = m.commitLog()->serialize();
+        result.commitLog = *m.commitLog();
     return result;
 }
 

@@ -12,8 +12,7 @@
 #ifndef COMMTM_APPS_INTRUDER_H
 #define COMMTM_APPS_INTRUDER_H
 
-#include <vector>
-
+#include "sim/commit_log.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 
@@ -37,9 +36,9 @@ struct IntruderResult {
     int64_t attacksFlagged = 0;   //!< host tally of detection hits
     int64_t expectedAttacks = 0;  //!< host-side reference
     uint64_t queueLeftover = 0;   //!< fragments left enqueued (must be 0)
-    /** Serialized commit log (empty unless recording was enabled);
-     *  determinism tests diff it across same-seed runs. */
-    std::vector<uint8_t> commitLog;
+    /** Commit log (empty, with no cores, unless recording was
+     *  enabled); determinism tests diff it across same-seed runs. */
+    CommitLog commitLog{0};
 
     bool
     valid() const

@@ -166,7 +166,7 @@ runLabyrinth(const MachineConfig &machine_cfg, uint32_t threads,
         uint64_t(grid.numCells()) * grid.capacity() -
         grid.peekTokens(m);
     if (m.commitLog())
-        result.commitLog = m.commitLog()->serialize();
+        result.commitLog = *m.commitLog();
     return result;
 }
 

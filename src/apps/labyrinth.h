@@ -12,8 +12,7 @@
 #ifndef COMMTM_APPS_LABYRINTH_H
 #define COMMTM_APPS_LABYRINTH_H
 
-#include <vector>
-
+#include "sim/commit_log.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 
@@ -39,9 +38,9 @@ struct LabyrinthResult {
     uint64_t tokensConsumed = 0; //!< initial - final grid tokens
     bool overlapFree = true;     //!< no cell claimed by two routes
     uint64_t numPathsTotal = 0;
-    /** Serialized commit log (empty unless recording was enabled);
-     *  determinism tests diff it across same-seed runs. */
-    std::vector<uint8_t> commitLog;
+    /** Commit log (empty, with no cores, unless recording was
+     *  enabled); determinism tests diff it across same-seed runs. */
+    CommitLog commitLog{0};
 
     bool
     valid() const

@@ -179,7 +179,7 @@ runYada(const MachineConfig &machine_cfg, uint32_t threads,
                 sizeof(result.minQuality));
     result.queueLeftover = worklist.peekSize(m);
     if (m.commitLog())
-        result.commitLog = m.commitLog()->serialize();
+        result.commitLog = *m.commitLog();
     return result;
 }
 

@@ -13,8 +13,7 @@
 #ifndef COMMTM_APPS_YADA_H
 #define COMMTM_APPS_YADA_H
 
-#include <vector>
-
+#include "sim/commit_log.h"
 #include "sim/config.h"
 #include "sim/stats.h"
 
@@ -37,9 +36,9 @@ struct YadaResult {
     int64_t expectedMinQuality = 0;
     uint64_t duplicates = 0;        //!< elements seen already refined
     uint64_t queueLeftover = 0;
-    /** Serialized commit log (empty unless recording was enabled);
-     *  determinism tests diff it across same-seed runs. */
-    std::vector<uint8_t> commitLog;
+    /** Commit log (empty, with no cores, unless recording was
+     *  enabled); determinism tests diff it across same-seed runs. */
+    CommitLog commitLog{0};
 
     bool
     valid() const

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "commtm/handlers.h"
+#include "sim/check.h"
 #include "sim/memory.h"
 #include "sim/types.h"
 
@@ -93,7 +94,10 @@ class LabelRegistry
     const LabelInfo &
     get(Label label) const
     {
-        assert(label < labels_.size());
+        COMMTM_CHECK(label < labels_.size(),
+                     "label %u is not defined: the registry defines %zu "
+                     "labels",
+                     unsigned(label), labels_.size());
         return labels_[label];
     }
 

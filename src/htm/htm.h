@@ -24,14 +24,10 @@ namespace commtm {
 /**
  * Per-machine transaction manager. One transaction context per core
  * (the paper's HTM is single-transaction-per-hardware-thread).
- *
- * HtmManager is the only production implementation of HtmHooks and is
- * final: MemorySystem dispatches to it directly on the access fast
- * path (see MemorySystem::setHtmManager), devirtualizing the hook
- * calls. The HtmHooks interface remains for tests that install
- * instrumented hooks.
+ * The constructor installs the manager in the MemorySystem, whose
+ * coherence protocol calls the inline queries below directly.
  */
-class HtmManager final : public HtmHooks
+class HtmManager
 {
   public:
     HtmManager(const MachineConfig &cfg, MemorySystem &mem,
@@ -101,32 +97,37 @@ class HtmManager final : public HtmHooks
         return txs_[core].labeledSet.contains(line);
     }
 
-    // --- HtmHooks (called by the coherence protocol) ---
-    // Inline and final: MemorySystem's direct-dispatch path relies on
-    // these bodies being visible and non-virtual at the call site.
+    // --- called by the coherence protocol ---
+
+    /** Core @p c runs an active, not-yet-doomed transaction. */
     bool
-    inTx(CoreId c) const final
+    inTx(CoreId c) const
     {
         return txs_[c].active && !txs_[c].doomed;
     }
 
+    /** Timestamp of @p c's transaction (valid when active). */
     Timestamp
-    txTs(CoreId c) const final
+    txTs(CoreId c) const
     {
         assert(txs_[c].active);
         return txs_[c].ts;
     }
 
+    /** @p c's transaction has buffered speculative writes to
+     *  @p line. */
     bool
-    specModified(CoreId c, Addr line) const final
+    specModified(CoreId c, Addr line) const
     {
         return txs_[c].active && txs_[c].wb.touches(line);
     }
 
-    void remoteAbort(CoreId victim, AbortCause cause) final;
+    /** Doom @p victim's transaction (it aborts when next scheduled). */
+    void remoteAbort(CoreId victim, AbortCause cause);
 
+    /** A speculative-access bit was newly set for (core, line). */
     void
-    noteSpecLine(CoreId c, Addr line, SpecKind kind) final
+    noteSpecLine(CoreId c, Addr line, SpecKind kind)
     {
         Tx &tx = txs_[c];
         assert(tx.active);

@@ -12,56 +12,13 @@
 #include <cassert>
 #include <cstdio>
 
-// The production hooks implementation. Including it here (not in
-// coherence.h) keeps mem/ headers free of htm/ dependencies while
-// letting the dispatch helpers below call the final HtmManager methods
-// directly — no virtual dispatch on the access fast path.
+// The protocol calls HtmManager directly; including it here (not in
+// coherence.h) keeps mem/ headers free of htm/ dependencies.
 #include "htm/htm.h"
 #include "sim/check.h"
 #include "sim/invariants.h"
 
 namespace commtm {
-
-void
-MemorySystem::setHtmManager(HtmManager *mgr)
-{
-    mgr_ = mgr;
-    htm_ = mgr;
-}
-
-bool
-MemorySystem::hookInTx(CoreId c) const
-{
-    if (mgr_)
-        return mgr_->inTx(c);
-    return htm_ && htm_->inTx(c);
-}
-
-Timestamp
-MemorySystem::hookTxTs(CoreId c) const
-{
-    if (mgr_)
-        return mgr_->txTs(c);
-    assert(htm_);
-    return htm_->txTs(c);
-}
-
-bool
-MemorySystem::hookSpecModified(CoreId c, Addr line) const
-{
-    if (mgr_)
-        return mgr_->specModified(c, line);
-    return htm_ && htm_->specModified(c, line);
-}
-
-void
-MemorySystem::hookRemoteAbort(CoreId victim, AbortCause cause)
-{
-    if (mgr_)
-        mgr_->remoteAbort(victim, cause);
-    else if (htm_)
-        htm_->remoteAbort(victim, cause);
-}
 
 const char *
 privStateName(PrivState state)
@@ -365,7 +322,7 @@ MemorySystem::battle(const Access &req, CoreId victim, Addr line,
         return true;
     }
     PrivLine *e1 = findL1(victim, line);
-    if (!e1 || !e1->spec() || !hookInTx(victim))
+    if (!e1 || !e1->spec() || !htm_->inTx(victim))
         return true; // no speculative holder: plain coherence action
     // A downgrade for a read only conflicts with a speculative writer.
     if (kind == InvalKind::ForRead && !e1->specWrite)
@@ -375,10 +332,10 @@ MemorySystem::battle(const Access &req, CoreId victim, Addr line,
     const bool requester_wins =
         cfg_.conflictPolicy == ConflictPolicy::RequesterWins ||
         !req.isTx || // non-speculative requests cannot be NACKed
-        req.ts < hookTxTs(victim); // the earlier transaction wins
+        req.ts < htm_->txTs(victim); // the earlier transaction wins
 
     if (requester_wins) {
-        hookRemoteAbort(victim, cause);
+        htm_->remoteAbort(victim, cause);
         return true;
     }
     stats_.nacks++;
@@ -442,15 +399,7 @@ MemorySystem::markSpec(const Access &req, Addr line, PrivLine *e1)
                             : &e1->notedWrite;
     if (!*noted) {
         *noted = true;
-        // Hottest hook on the tx path (43.7M calls on fig12): a single
-        // well-predicted test takes the devirtualized HtmManager call.
-        // Whenever markSpec fires a transaction is live, so hooks are
-        // installed; tests driving raw accesses install theirs via
-        // setHtm and take the virtual fallback.
-        if (mgr_)
-            mgr_->noteSpecLine(req.core, line, kind);
-        else
-            htm_->noteSpecLine(req.core, line, kind);
+        htm_->noteSpecLine(req.core, line, kind);
     }
 }
 
@@ -515,10 +464,10 @@ MemorySystem::onEvictL1(CoreId core, PrivLine &victim)
     // buffered absolute bytes onto a fresh identity copy, minting
     // value out of thin air (caught by the GridClaim fuzz wall under
     // lazy + tiny caches).
-    if (victim.spec() && hookInTx(core) &&
+    if (victim.spec() && htm_->inTx(core) &&
         (cfg_.conflictDetection == ConflictDetection::Eager ||
          victim.state == PrivState::U))
-        hookRemoteAbort(core, AbortCause::Capacity);
+        htm_->remoteAbort(core, AbortCause::Capacity);
     if (victim.dirty) {
         if (PrivLine *e2 = findL2(core, victim.line))
             e2->dirty = true;
@@ -535,10 +484,10 @@ MemorySystem::onEvictL2(CoreId core, PrivLine &victim, Cycle &lat)
     // spec bits, and dropping them silently would reopen the
     // token-minting hazard on this path.
     if (PrivLine *e1 = findL1(core, victim.line)) {
-        if (e1->spec() && hookInTx(core) &&
+        if (e1->spec() && htm_->inTx(core) &&
             (cfg_.conflictDetection == ConflictDetection::Eager ||
              e1->state == PrivState::U))
-            hookRemoteAbort(core, AbortCause::Capacity);
+            htm_->remoteAbort(core, AbortCause::Capacity);
         cores_[core]->l1.erase(victim.line);
     }
     if (victim.state == PrivState::U) {
@@ -597,8 +546,8 @@ MemorySystem::uEvict(CoreId core, Addr line, Cycle &lat)
     assert(target != kNoCore);
     // If the chosen core's transaction touches this line, it aborts.
     if (PrivLine *te = findL1(target, line)) {
-        if (te->spec() && hookInTx(target))
-            hookRemoteAbort(target, AbortCause::UEviction);
+        if (te->spec() && htm_->inTx(target))
+            htm_->remoteAbort(target, AbortCause::UEviction);
     }
     HandlerCtx hctx(*this, target, lat);
     // Reduce into a local copy, not a live map reference: the handler
@@ -739,8 +688,8 @@ MemorySystem::onEvictL3(L3Line &victim, Cycle &lat)
         HandlerCtx hctx(*this, host, lat);
         victim.sharers.forEach([&](CoreId s) {
             if (PrivLine *e1 = findL1(s, vline)) {
-                if (e1->spec() && hookInTx(s))
-                    hookRemoteAbort(s, AbortCause::UEviction);
+                if (e1->spec() && htm_->inTx(s))
+                    htm_->remoteAbort(s, AbortCause::UEviction);
             }
             const auto found = cores_[s]->uCopies.find(vline);
             if (!found)
@@ -769,8 +718,8 @@ MemorySystem::onEvictL3(L3Line &victim, Cycle &lat)
         if (PrivLine *e1 = findL1(s, vline)) {
             if (e1->spec() &&
                 cfg_.conflictDetection == ConflictDetection::Eager &&
-                hookInTx(s))
-                hookRemoteAbort(s, AbortCause::Capacity);
+                htm_->inTx(s))
+                htm_->remoteAbort(s, AbortCause::Capacity);
         }
         dropPriv(s, vline);
     });
@@ -1054,7 +1003,7 @@ MemorySystem::reduceLine(const Access &req, L3Line *e, AccessResult &res,
     // while others share it: abort and retry with labeled operations
     // demoted to conventional ones (Sec. III-B4).
     if (to_m && e->sharers.test(c) && e->sharers.count() > 1 && req.isTx &&
-        hookSpecModified(c, line)) {
+        htm_->specModified(c, line)) {
         res.selfDemote = true;
         res.cause = AbortCause::SelfDemotion;
         return;

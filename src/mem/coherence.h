@@ -59,7 +59,7 @@ struct Access {
     bool lazyWrite = false;
 };
 
-/** Which speculative set an access joined (for HtmHooks tracking). */
+/** Which speculative set an access joined (HtmManager::noteSpecLine). */
 enum class SpecKind : uint8_t { Read, Write, Labeled };
 
 /** Outcome of an access: latency plus any abort the requester owes. */
@@ -75,28 +75,8 @@ struct AccessResult {
     bool mustAbort() const { return nackAbort || selfDemote; }
 };
 
-/**
- * What the coherence protocol needs to know about transactions. The HTM
- * implements this; the indirection keeps mem/ free of htm/ dependencies.
- */
-class HtmHooks
-{
-  public:
-    virtual ~HtmHooks() = default;
-    /** Core @p c runs an active, not-yet-doomed transaction. */
-    virtual bool inTx(CoreId c) const = 0;
-    /** Timestamp of @p c's transaction (valid when inTx). */
-    virtual Timestamp txTs(CoreId c) const = 0;
-    /** @p c's transaction has buffered speculative writes to @p line. */
-    virtual bool specModified(CoreId c, Addr line) const = 0;
-    /** Doom @p victim's transaction (it aborts when next scheduled). */
-    virtual void remoteAbort(CoreId victim, AbortCause cause) = 0;
-    /** A speculative-access bit was newly set for (core, line). */
-    virtual void noteSpecLine(CoreId c, Addr line, SpecKind kind) = 0;
-};
-
-/** The production HtmHooks implementation (htm/htm.h); final, so the
- *  memory system can dispatch to it without virtual calls. */
+/** The transaction manager (htm/htm.h): the protocol consults it for
+ *  timestamps, conflicts and remote aborts. */
 class HtmManager;
 
 /** Machine-wide protocol invariant checker (sim/invariants.h). */
@@ -114,18 +94,10 @@ class MemorySystem
                  const LabelRegistry &labels, MachineStats &stats,
                  Rng &rng);
 
-    /** Install generic hooks (tests, instrumentation): virtual dispatch. */
-    void
-    setHtm(HtmHooks *htm)
-    {
-        htm_ = htm;
-        mgr_ = nullptr;
-    }
-
-    /** Install the production HtmManager: the access fast path calls it
-     *  directly (HtmManager is final, so the calls devirtualize and
-     *  inline). Defined in coherence.cc, which sees htm/htm.h. */
-    void setHtmManager(HtmManager *mgr);
+    /** Install the transaction manager (HtmManager's constructor does
+     *  this). Transactional accesses require one; plain accesses
+     *  never consult it. */
+    void setHtmManager(HtmManager *htm) { htm_ = htm; }
 
     /**
      * Perform one access: coherence-state transitions, conflict
@@ -311,23 +283,13 @@ class MemorySystem
     /** Remove @p core from @p line's U sharers, dropping its copy. */
     void removeUSharer(L3Line *e, CoreId core);
 
-    // HtmHooks dispatch: direct (devirtualized) through mgr_ when the
-    // production HtmManager is installed, virtual through htm_
-    // otherwise, no-op/false when no hooks are installed. Bodies live
-    // in coherence.cc, where htm/htm.h is visible.
-    bool hookInTx(CoreId c) const;
-    Timestamp hookTxTs(CoreId c) const;
-    bool hookSpecModified(CoreId c, Addr line) const;
-    void hookRemoteAbort(CoreId victim, AbortCause cause);
-
     const MachineConfig &cfg_;
     SimMemory &memory_;
     const LabelRegistry &labels_;
     MachineStats &stats_;
     Rng &rng_;
     NocModel noc_;
-    HtmHooks *htm_ = nullptr;
-    HtmManager *mgr_ = nullptr;
+    HtmManager *htm_ = nullptr;
 
     std::vector<std::unique_ptr<PerCore>> cores_;
     CacheArray<L3Line> l3_;

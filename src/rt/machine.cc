@@ -89,8 +89,10 @@ ThreadContext &
 Machine::addThread(ThreadFn fn)
 {
     assert(!running_);
-    assert(threads_.size() < cfg_.numCores &&
-           "more simulated threads than cores");
+    COMMTM_CHECK(threads_.size() < cfg_.numCores,
+                 "more simulated threads than cores: the %u-core "
+                 "machine already holds %zu threads",
+                 cfg_.numCores, threads_.size());
     const CoreId core = cfg_.threadCore(uint32_t(threads_.size()));
     assert(core < cfg_.numCores);
     SimThread st;

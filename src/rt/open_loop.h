@@ -1,7 +1,7 @@
 /**
  * @file
- * The open-loop service frontend (docs/ARCHITECTURE.md Sec. 12): the
- * third Frontend implementation, modeling independent users arriving
+ * The open-loop service frontend (docs/ARCHITECTURE.md Sec. 12),
+ * modeling independent users arriving
  * at a service rather than a fixed op count per thread. Each simulated
  * thread owns a deterministic, pre-generated arrival schedule (Poisson
  * or bursty cycles from rt/arrival.h, keys from the Zipfian sampler)
@@ -25,12 +25,12 @@
 #include <vector>
 
 #include "rt/arrival.h"
-#include "rt/frontend.h"
 #include "sim/latency_hist.h"
 #include "sim/types.h"
 
 namespace commtm {
 
+class Machine;
 class ThreadContext;
 
 /** Open-loop run shape: arrival process, windows, queue bound, and
@@ -78,7 +78,7 @@ struct ServiceStats {
  * independent of machine config and identical for every machine the
  * frontend shape is instantiated against.
  */
-class OpenLoopFrontend final : public Frontend
+class OpenLoopFrontend
 {
   public:
     /** Services one request: runs (at least) one transaction against
@@ -89,8 +89,9 @@ class OpenLoopFrontend final : public Frontend
     OpenLoopFrontend(const OpenLoopConfig &cfg, uint32_t threads,
                      TxnBody body);
 
-    uint32_t threads() const override;
-    void attach(Machine &machine) override;
+    /** Register one simulated thread per arrival stream with
+     *  @p machine, in thread order. */
+    void attach(Machine &machine);
 
     /** Per-thread measurement-window latency histogram. */
     const LatencyHistogram &measureHist(uint32_t thread) const;

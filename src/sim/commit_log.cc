@@ -1,50 +1,16 @@
 /**
  * @file
- * CommitLog implementation: digest folding, sealing, the fixed-width
- * serialized format, and the three diff policies.
+ * CommitLog implementation: digest folding, sealing, and the three
+ * diff policies.
  */
 
 #include "sim/commit_log.h"
 
-#include <cassert>
 #include <cstdio>
-#include <cstring>
 
 namespace commtm {
 
 namespace {
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; i++)
-        out.push_back(uint8_t(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; i++)
-        out.push_back(uint8_t(v >> (8 * i)));
-}
-
-uint32_t
-getU32(const uint8_t *p)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; i++)
-        v |= uint32_t(p[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-getU64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; i++)
-        v |= uint64_t(p[i]) << (8 * i);
-    return v;
-}
 
 std::string
 hex(uint64_t v)
@@ -141,103 +107,6 @@ CommitLog::setTestOperandFlip(CoreId core, uint32_t commit_index,
     flipCommit_ = commit_index;
     flipOp_ = op_index;
     flipByte_ = byte_index;
-}
-
-std::vector<uint8_t>
-CommitLog::serialize() const
-{
-    std::vector<uint8_t> out;
-    out.reserve(kHeaderBytes + kRecordBytes * records_.size());
-    // push_back loop, not a range insert: gcc 12's -O2 overflow
-    // analysis misjudges insert-from-char-array into a byte vector
-    // and fails -Werror (stringop-overflow false positive).
-    for (const char c : kMagic)
-        out.push_back(uint8_t(c));
-    putU32(out, kVersion);
-    putU32(out, numCores());
-    putU64(out, records_.size());
-    for (const CommitRecord &r : records_) {
-        putU64(out, r.txId);
-        putU32(out, r.core);
-        putU32(out, r.commitIndex);
-        putU64(out, r.commitCycle);
-        putU64(out, r.labeledShape);
-        putU64(out, r.labeledValues);
-        putU64(out, r.writeSet);
-        putU32(out, r.labeledOps);
-        putU32(out, r.writeLines);
-    }
-    return out;
-}
-
-bool
-CommitLog::deserialize(const std::vector<uint8_t> &buf, CommitLog *out,
-                       std::string *error)
-{
-    const auto fail = [&](const std::string &msg) {
-        if (error)
-            *error = msg;
-        return false;
-    };
-    if (buf.size() < kHeaderBytes) {
-        return fail("truncated header: " + std::to_string(buf.size()) +
-                    " bytes, need " + std::to_string(kHeaderBytes));
-    }
-    if (std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0)
-        return fail("bad magic: not a commit log");
-    const uint32_t version = getU32(&buf[8]);
-    if (version != kVersion) {
-        return fail("unsupported version " + std::to_string(version));
-    }
-    const uint32_t num_cores = getU32(&buf[12]);
-    const uint64_t count = getU64(&buf[16]);
-    if (buf.size() != kHeaderBytes + kRecordBytes * count) {
-        return fail("truncated records: header claims " +
-                    std::to_string(count) + " records (" +
-                    std::to_string(kHeaderBytes +
-                                   kRecordBytes * count) +
-                    " bytes), got " + std::to_string(buf.size()));
-    }
-    CommitLog log(num_cores);
-    log.records_.reserve(count);
-    for (uint64_t i = 0; i < count; i++) {
-        const uint8_t *p = &buf[kHeaderBytes + kRecordBytes * i];
-        CommitRecord r;
-        r.txId = getU64(p + 0);
-        r.core = getU32(p + 8);
-        r.commitIndex = getU32(p + 12);
-        r.commitCycle = getU64(p + 16);
-        r.labeledShape = getU64(p + 24);
-        r.labeledValues = getU64(p + 32);
-        r.writeSet = getU64(p + 40);
-        r.labeledOps = getU32(p + 48);
-        r.writeLines = getU32(p + 52);
-        if (r.txId != i) {
-            return fail("record " + std::to_string(i) +
-                        ": txId field is " + std::to_string(r.txId) +
-                        ", expected " + std::to_string(i));
-        }
-        if (r.core >= num_cores) {
-            return fail("record " + std::to_string(i) + " (txId " +
-                        std::to_string(r.txId) +
-                        "): core field is " + std::to_string(r.core) +
-                        ", log has " + std::to_string(num_cores) +
-                        " cores");
-        }
-        if (r.commitIndex != log.commits_[r.core]) {
-            return fail(
-                "record " + std::to_string(i) + " (txId " +
-                std::to_string(r.txId) + "): commitIndex field is " +
-                std::to_string(r.commitIndex) + ", expected " +
-                std::to_string(log.commits_[r.core]) + " for core " +
-                std::to_string(r.core));
-        }
-        log.commits_[r.core]++;
-        log.lastSealed_[r.core] = r.txId;
-        log.records_.push_back(r);
-    }
-    *out = std::move(log);
-    return true;
 }
 
 CommitLogDiff

@@ -7,9 +7,9 @@
  * observation-only — it reads speculative state the commit path
  * already walks and never touches simulated behavior — so the exact
  * same log can be captured from a baseline run without perturbing a
- * single counter. Logs serialize to a compact fixed-width format so
- * they can be written to disk and diffed across runs; the replay
- * oracle (sim/replay_oracle.h) builds both of its checks on top.
+ * single counter. Logs are plain values: runs hand them back by copy
+ * and CommitLog::diff compares two of them; the replay oracle
+ * (sim/replay_oracle.h) builds both of its checks on top.
  */
 
 #ifndef COMMTM_SIM_COMMIT_LOG_H
@@ -167,18 +167,7 @@ class CommitLog
         return lastSealed_[core];
     }
 
-    // --- persistence and comparison ---
-
-    /** Compact fixed-width encoding: a 24-byte header (magic,
-     *  version, core count, record count) followed by one 56-byte
-     *  little-endian record per commit. */
-    std::vector<uint8_t> serialize() const;
-
-    /** Parse @p buf into @p out. On failure returns false and sets
-     *  @p error to a precise diagnostic naming the record (txId) and
-     *  field that is inconsistent. */
-    static bool deserialize(const std::vector<uint8_t> &buf,
-                            CommitLog *out, std::string *error);
+    // --- comparison ---
 
     /** First difference between two logs under @p mode (see
      *  DiffMode); the message names core, commit index, txId, and
@@ -196,12 +185,6 @@ class CommitLog
      */
     void setTestOperandFlip(CoreId core, uint32_t commit_index,
                             uint32_t op_index, uint32_t byte_index);
-
-    static constexpr char kMagic[8] = {'C', 'T', 'M', 'C',
-                                       'L', 'O', 'G', '1'};
-    static constexpr uint32_t kVersion = 1;
-    static constexpr size_t kHeaderBytes = 24;
-    static constexpr size_t kRecordBytes = 56;
 
   private:
     struct Pending {

@@ -148,20 +148,7 @@ runDifferential(MachineConfig base,
     const DifferentialRun b = workload(lazy);
 
     DifferentialResult res;
-    CommitLog log_a(0), log_b(0);
-    std::string err;
-    if (!CommitLog::deserialize(a.log, &log_a, &err)) {
-        res.ok = false;
-        res.diag = "eager log: " + err;
-        return res;
-    }
-    if (!CommitLog::deserialize(b.log, &log_b, &err)) {
-        res.ok = false;
-        res.diag = "lazy log: " + err;
-        return res;
-    }
-    const CommitLogDiff d =
-        CommitLog::diff(log_a, log_b, digest_mode);
+    const CommitLogDiff d = CommitLog::diff(a.log, b.log, digest_mode);
     if (!d.equal) {
         res.ok = false;
         res.diag = "eager vs lazy commit logs: " + d.message;

@@ -140,10 +140,10 @@ class ReplayOracle
     uint32_t flipByte_ = 0;
 };
 
-/** What one differential run produces: its serialized commit log and
- *  a canonical byte encoding of the committed end state. */
+/** What one differential run produces: its commit log and a canonical
+ *  byte encoding of the committed end state. */
 struct DifferentialRun {
-    std::vector<uint8_t> log;
+    CommitLog log{0};
     std::vector<uint8_t> endState;
 };
 

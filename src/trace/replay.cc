@@ -16,9 +16,6 @@ namespace commtm {
 void
 ReplayFrontend::attach(Machine &machine)
 {
-    assert(machine.config().numCores >= trace_.numThreads() &&
-           "replay machine has fewer cores than the capture has "
-           "thread streams");
     for (const std::vector<TraceRecord> &records : trace_.threads) {
         machine.addThread([&records](ThreadContext &ctx) {
             replayThread(ctx, records);

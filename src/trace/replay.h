@@ -14,24 +14,25 @@
 #ifndef COMMTM_TRACE_REPLAY_H
 #define COMMTM_TRACE_REPLAY_H
 
-#include "rt/frontend.h"
 #include "trace/trace_reader.h"
 
 namespace commtm {
 
-class ReplayFrontend final : public Frontend
+class Machine;
+class ThreadContext;
+
+class ReplayFrontend
 {
   public:
     /** @p trace must outlive the frontend and the machine run. */
     explicit ReplayFrontend(const Trace &trace) : trace_(trace) {}
 
-    uint32_t threads() const override { return trace_.numThreads(); }
-
-    /** @p machine must have at least numThreads() cores and the same
-     *  label definitions as the capture-time machine (label ids are
-     *  recorded raw; reduction/split handlers come from the live
-     *  registry). */
-    void attach(Machine &machine) override;
+    /** @p machine must have a core per captured thread stream
+     *  (Machine::addThread checks this) and the same label
+     *  definitions as the capture-time machine: label ids are
+     *  recorded raw, and reduction/split handlers come from the live
+     *  registry (LabelRegistry::get rejects an undefined label). */
+    void attach(Machine &machine);
 
   private:
     static void replayThread(ThreadContext &ctx,

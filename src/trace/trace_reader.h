@@ -3,8 +3,7 @@
  * Trace parsing and validation (docs/ARCHITECTURE.md Sec. 11):
  * TraceReader::parse decodes a serialized capture into per-thread
  * record vectors plus the commit order, rejecting malformed input
- * with a field-precise diagnostic (which thread, record, and field),
- * mirroring CommitLog::deserialize.
+ * with a field-precise diagnostic (which thread, record, and field).
  */
 
 #ifndef COMMTM_TRACE_TRACE_READER_H

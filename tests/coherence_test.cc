@@ -1,67 +1,21 @@
 /**
  * @file
  * Protocol-level unit tests of the MESI+U coherence implementation,
- * driven directly through MemorySystem with a scripted HtmHooks stub:
- * the five GETU cases (Sec. III-B3), reductions (III-B4), gathers
- * (Sec. IV), U-line evictions (III-B5), and conflict resolution
- * (Fig. 6), independent of the HTM and runtime layers.
+ * driven directly through MemorySystem and a bare HtmManager: the five
+ * GETU cases (Sec. III-B3), reductions (III-B4), gathers (Sec. IV),
+ * U-line evictions (III-B5), and conflict resolution (Fig. 6),
+ * independent of the runtime layer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
 
+#include "htm/htm.h"
 #include "mem/coherence.h"
 
 namespace commtm {
 namespace {
-
-/** Scriptable transaction view for the protocol. */
-class FakeHtm : public HtmHooks
-{
-  public:
-    struct TxState {
-        bool active = false;
-        Timestamp ts = 0;
-        bool modified = false; //!< specModified() result for any line
-    };
-
-    bool
-    inTx(CoreId c) const override
-    {
-        return tx.count(c) && tx.at(c).active;
-    }
-    Timestamp
-    txTs(CoreId c) const override
-    {
-        return tx.at(c).ts;
-    }
-    bool
-    specModified(CoreId c, Addr) const override
-    {
-        return tx.count(c) && tx.at(c).modified;
-    }
-    void
-    remoteAbort(CoreId victim, AbortCause cause) override
-    {
-        aborts.push_back({victim, cause});
-        tx[victim].active = false;
-        if (mem)
-            for (Addr line : specLines[victim])
-                mem->clearSpec(victim, line);
-    }
-    void
-    noteSpecLine(CoreId c, Addr line, SpecKind) override
-    {
-        specLines[c].push_back(line);
-    }
-
-    std::map<CoreId, TxState> tx;
-    std::map<CoreId, std::vector<Addr>> specLines;
-    std::vector<std::pair<CoreId, AbortCause>> aborts;
-    MemorySystem *mem = nullptr;
-};
 
 class CoherenceTest : public ::testing::Test
 {
@@ -77,8 +31,28 @@ class CoherenceTest : public ::testing::Test
         rng_ = std::make_unique<Rng>(1);
         mem_ = std::make_unique<MemorySystem>(cfg_, memory_, *registry_,
                                               stats_, *rng_);
-        mem_->setHtm(&htm_);
-        htm_.mem = mem_.get();
+        htm_ = std::make_unique<HtmManager>(cfg_, *mem_, memory_);
+    }
+
+    /** Start a transaction on @p core; returns its timestamp. A core
+     *  that begins earlier runs the older transaction. */
+    Timestamp
+    begin(CoreId core)
+    {
+        htm_->beginAttempt(core);
+        return htm_->txTs(core);
+    }
+
+    /** Cores whose transaction a remote abort has doomed. */
+    std::vector<CoreId>
+    doomedCores() const
+    {
+        std::vector<CoreId> out;
+        for (CoreId c = 0; c < cfg_.numCores; c++) {
+            if (htm_->doomed(c))
+                out.push_back(c);
+        }
+        return out;
     }
 
     AccessResult
@@ -117,7 +91,7 @@ class CoherenceTest : public ::testing::Test
     MachineStats stats_;
     std::unique_ptr<Rng> rng_;
     std::unique_ptr<MemorySystem> mem_;
-    FakeHtm htm_;
+    std::unique_ptr<HtmManager> htm_;
 };
 
 constexpr Addr kLine = 0x40000; // line-aligned test address
@@ -252,7 +226,7 @@ TEST_F(CoherenceTest, SoleSharerUnlabeledAccessConvertsLocally)
     access(0, kLine, MemOp::Load); // sole sharer: U -> M, no conflict
     EXPECT_EQ(mem_->dirState(lineAddr(kLine)), DirState::M);
     EXPECT_EQ(memory_.read<int64_t>(kLine), 42);
-    EXPECT_TRUE(htm_.aborts.empty());
+    EXPECT_TRUE(doomedCores().empty());
 }
 
 TEST_F(CoherenceTest, ReductionInvariant_ValueEqualsReducedCopies)
@@ -273,25 +247,24 @@ TEST_F(CoherenceTest, ReductionInvariant_ValueEqualsReducedCopies)
 
 TEST_F(CoherenceTest, OlderRequesterAbortsYoungerLabeledHolder)
 {
-    access(0, kLine, MemOp::LabeledLoad, add_, true, 10);
-    htm_.tx[0] = {true, 10, false};
-    // Older (ts 5) conventional load: reduction; core 0 must abort.
-    const AccessResult r = access(1, kLine, MemOp::Load, kNoLabel, true, 5);
+    const Timestamp older = begin(1);
+    access(0, kLine, MemOp::LabeledLoad, add_, true, begin(0));
+    // Older conventional load: reduction; core 0 must abort.
+    const AccessResult r =
+        access(1, kLine, MemOp::Load, kNoLabel, true, older);
     EXPECT_FALSE(r.mustAbort());
-    ASSERT_EQ(htm_.aborts.size(), 1u);
-    EXPECT_EQ(htm_.aborts[0].first, 0u);
-    EXPECT_EQ(htm_.aborts[0].second, AbortCause::LabeledConflict);
+    EXPECT_EQ(doomedCores(), std::vector<CoreId>{0});
+    EXPECT_EQ(htm_->doomCause(0), AbortCause::LabeledConflict);
 }
 
 TEST_F(CoherenceTest, YoungerRequesterGetsNackedAndKeepsMergedData)
 {
-    access(0, kLine, MemOp::LabeledLoad, add_, true, 5);
-    htm_.tx[0] = {true, 5, false};
+    access(0, kLine, MemOp::LabeledLoad, add_, true, begin(0));
     const AccessResult r =
-        access(1, kLine, MemOp::Load, kNoLabel, true, 10);
+        access(1, kLine, MemOp::Load, kNoLabel, true, begin(1));
     EXPECT_TRUE(r.nackAbort);
     EXPECT_EQ(stats_.nacks, 1u);
-    EXPECT_TRUE(htm_.aborts.empty());
+    EXPECT_TRUE(doomedCores().empty());
     // The holder keeps its U copy (Fig. 6b).
     EXPECT_EQ(mem_->dirState(lineAddr(kLine)), DirState::U);
     EXPECT_TRUE(mem_->coreHasU(0, lineAddr(kLine)));
@@ -299,47 +272,47 @@ TEST_F(CoherenceTest, YoungerRequesterGetsNackedAndKeepsMergedData)
 
 TEST_F(CoherenceTest, NonSpeculativeRequestsCannotBeNacked)
 {
-    access(0, kLine, MemOp::LabeledLoad, add_, true, 5);
-    htm_.tx[0] = {true, 5, false};
+    access(0, kLine, MemOp::LabeledLoad, add_, true, begin(0));
     const AccessResult r = access(1, kLine, MemOp::Load); // non-tx
     EXPECT_FALSE(r.mustAbort());
-    ASSERT_EQ(htm_.aborts.size(), 1u);
-    EXPECT_EQ(htm_.aborts[0].first, 0u);
+    EXPECT_EQ(doomedCores(), std::vector<CoreId>{0});
 }
 
 TEST_F(CoherenceTest, ReadAfterWriteConflictClassified)
 {
-    access(0, kLine, MemOp::Store, kNoLabel, true, 10);
-    htm_.tx[0] = {true, 10, false};
-    access(1, kLine, MemOp::Load, kNoLabel, true, 5);
-    ASSERT_EQ(htm_.aborts.size(), 1u);
-    EXPECT_EQ(htm_.aborts[0].second, AbortCause::ReadAfterWrite);
+    const Timestamp older = begin(1);
+    access(0, kLine, MemOp::Store, kNoLabel, true, begin(0));
+    access(1, kLine, MemOp::Load, kNoLabel, true, older);
+    EXPECT_EQ(doomedCores(), std::vector<CoreId>{0});
+    EXPECT_EQ(htm_->doomCause(0), AbortCause::ReadAfterWrite);
 }
 
 TEST_F(CoherenceTest, WriteAfterReadConflictClassified)
 {
-    access(0, kLine, MemOp::Load, kNoLabel, true, 10);
-    htm_.tx[0] = {true, 10, false};
-    access(1, kLine, MemOp::Store, kNoLabel, true, 5);
-    ASSERT_EQ(htm_.aborts.size(), 1u);
-    EXPECT_EQ(htm_.aborts[0].second, AbortCause::WriteAfterRead);
+    const Timestamp older = begin(1);
+    access(0, kLine, MemOp::Load, kNoLabel, true, begin(0));
+    access(1, kLine, MemOp::Store, kNoLabel, true, older);
+    EXPECT_EQ(doomedCores(), std::vector<CoreId>{0});
+    EXPECT_EQ(htm_->doomCause(0), AbortCause::WriteAfterRead);
 }
 
 TEST_F(CoherenceTest, ReadersDoNotConflictWithSpeculativeReaders)
 {
-    access(0, kLine, MemOp::Load, kNoLabel, true, 10);
-    htm_.tx[0] = {true, 10, false};
-    access(1, kLine, MemOp::Load, kNoLabel, true, 5);
-    EXPECT_TRUE(htm_.aborts.empty());
+    const Timestamp older = begin(1);
+    access(0, kLine, MemOp::Load, kNoLabel, true, begin(0));
+    access(1, kLine, MemOp::Load, kNoLabel, true, older);
+    EXPECT_TRUE(doomedCores().empty());
 }
 
 TEST_F(CoherenceTest, SelfDemotionOnUnlabeledAccessToModifiedLabeledData)
 {
-    access(0, kLine, MemOp::LabeledLoad, add_, true, 5);
-    access(1, kLine, MemOp::LabeledLoad, add_, true, 6);
-    htm_.tx[0] = {true, 5, true}; // speculatively modified
-    htm_.tx[1] = {true, 6, false};
-    const AccessResult r = access(0, kLine, MemOp::Load, kNoLabel, true, 5);
+    const Timestamp ts0 = begin(0);
+    access(0, kLine, MemOp::LabeledLoad, add_, true, ts0);
+    access(1, kLine, MemOp::LabeledLoad, add_, true, begin(1));
+    const int64_t v = 1;
+    htm_->writeBuffer(0).write(kLine, &v, sizeof(v)); // spec. modified
+    const AccessResult r =
+        access(0, kLine, MemOp::Load, kNoLabel, true, ts0);
     EXPECT_TRUE(r.selfDemote);
     EXPECT_EQ(r.cause, AbortCause::SelfDemotion);
 }
@@ -367,10 +340,10 @@ TEST_F(CoherenceTest, GatherSkipsSharersWithNothingToDonate)
     access(0, kLine, MemOp::LabeledLoad, add_); // absorbs 1
     access(1, kLine, MemOp::LabeledLoad, add_);
     access(2, kLine, MemOp::LabeledLoad, add_);
-    htm_.tx[0] = {true, 1, false}; // would conflict if split
-    access(2, kLine, MemOp::Gather, add_, true, 99);
+    begin(0); // older: would NACK the gather if split
+    access(2, kLine, MemOp::Gather, add_, true, begin(2));
     // floor(1/3) == 0: nothing to donate, so no split and no conflict.
-    EXPECT_TRUE(htm_.aborts.empty());
+    EXPECT_TRUE(doomedCores().empty());
     EXPECT_EQ(stats_.splits, 0u);
     EXPECT_EQ(uValue(0, lineAddr(kLine)), 1);
 }
@@ -378,11 +351,11 @@ TEST_F(CoherenceTest, GatherSkipsSharersWithNothingToDonate)
 TEST_F(CoherenceTest, GatherAgainstOlderHolderGetsNacked)
 {
     memory_.write<int64_t>(kLine, 100);
-    access(0, kLine, MemOp::LabeledLoad, add_, true, 5);
-    htm_.tx[0] = {true, 5, false};
-    access(1, kLine, MemOp::LabeledLoad, add_, true, 10);
-    htm_.tx[1] = {true, 10, false};
-    const AccessResult r = access(1, kLine, MemOp::Gather, add_, true, 10);
+    access(0, kLine, MemOp::LabeledLoad, add_, true, begin(0));
+    const Timestamp younger = begin(1);
+    access(1, kLine, MemOp::LabeledLoad, add_, true, younger);
+    const AccessResult r =
+        access(1, kLine, MemOp::Gather, add_, true, younger);
     EXPECT_TRUE(r.nackAbort);
     EXPECT_EQ(r.cause, AbortCause::GatherAfterLabeled);
     EXPECT_EQ(uValue(0, lineAddr(kLine)), 100); // donor untouched
@@ -412,9 +385,6 @@ TEST_F(CoherenceTest, SoleSharerUEvictionWritesBack)
     LabelRegistry reg(geom.hwLabels);
     const Label add = reg.define(labels::makeAdd<int64_t>("ADD"));
     MemorySystem ms(geom, memory2, reg, stats2, rng2);
-    FakeHtm htm;
-    htm.mem = &ms;
-    ms.setHtm(&htm);
 
     // Touch one line with a labeled store, then flood its L2 set.
     const Addr base = 0x100000;
@@ -456,9 +426,6 @@ TEST_F(CoherenceTest, MultiSharerUEvictionForwardsToAnotherSharer)
     LabelRegistry reg(geom.hwLabels);
     const Label add = reg.define(labels::makeAdd<int64_t>("ADD"));
     MemorySystem ms(geom, memory2, reg, stats2, rng2);
-    FakeHtm htm;
-    htm.mem = &ms;
-    ms.setHtm(&htm);
 
     const Addr base = 0x200000;
     memory2.write<int64_t>(base, 50);

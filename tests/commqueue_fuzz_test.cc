@@ -278,7 +278,7 @@ TEST_P(CommQueueDifferential, EnqueueOnlyEagerLazyAgree)
         }
         m.run();
         DifferentialRun out;
-        out.log = m.commitLog()->serialize();
+        out.log = *m.commitLog();
         std::vector<uint64_t> vals = queue.peekAll(m);
         std::sort(vals.begin(), vals.end());
         for (uint64_t v : vals) {

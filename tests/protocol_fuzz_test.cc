@@ -282,7 +282,7 @@ TEST_P(ProtocolFuzz, EagerLazyDifferentialCountersAgree)
         }
         m.run();
         DifferentialRun out;
-        out.log = m.commitLog()->serialize();
+        out.log = *m.commitLog();
         for (Addr a : counters) {
             const LineData line =
                 m.memSys().debugReducedValue(lineAddr(a));

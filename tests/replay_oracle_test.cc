@@ -80,7 +80,7 @@ blindStoreRun(const MachineConfig &cfg, bool flip_eager_operand,
     }
     m.run();
     DifferentialRun out;
-    out.log = m.commitLog()->serialize();
+    out.log = *m.commitLog();
     const LineData line = m.memSys().debugReducedValue(lineAddr(cell));
     out.endState.assign(line.data(), line.data() + sizeof(int64_t));
     return out;

@@ -4,7 +4,9 @@
  * Sec. 11): pinned encoded bytes for a host-built capture (the format
  * is a contract — a refactor that changes it must show up here),
  * serialize/parse round trips, precise rejection diagnostics for
- * corrupted traces, capture-vs-replay bit-identity for closed-loop
+ * corrupted traces, a seeded mutation fuzz of the pinned capture,
+ * fatal checks for replay on a machine with too few cores or labels,
+ * capture-vs-replay bit-identity for closed-loop
  * and seed-randomized fuzz workloads, replay determinism at 128 and
  * 256 threads under eager and lazy conflict detection, exclusion of
  * an open attempt, and the COMMTM_CAPTURE_TRACE override (including a
@@ -19,6 +21,7 @@
 
 #include "lib/counter.h"
 #include "rt/machine.h"
+#include "sim/rng.h"
 #include "trace/replay.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_writer.h"
@@ -294,6 +297,39 @@ TEST(Trace, CorruptedTracesRejectedWithPreciseDiagnostics)
     expectReject(bad, "1 trailing bytes after the commit order");
 }
 
+/** Seeded mutation fuzz of the pinned capture: truncate it, flip 1-4
+ *  bits, or both. Every mutant must either parse or be rejected with
+ *  a diagnostic; a crash or a silent rejection fails. */
+TEST(Trace, MutatedCapturesParseOrAreRejectedWithADiagnostic)
+{
+    const std::vector<uint8_t> good = sampleWriter().serialize();
+    Rng rng(0x7ace + fuzzSeedOffset());
+    uint64_t parsed = 0;
+    for (int i = 0; i < 20000; i++) {
+        std::vector<uint8_t> bytes = good;
+        const uint64_t mode = rng.below(3); // 0 cut, 1 flip, 2 both
+        if (mode != 1)
+            bytes.resize(rng.below(bytes.size()));
+        if (mode != 0 && !bytes.empty()) {
+            const uint64_t flips = 1 + rng.below(4);
+            for (uint64_t f = 0; f < flips; f++)
+                bytes[rng.below(bytes.size())] ^= uint8_t(1 << rng.below(8));
+        }
+        Trace out;
+        std::string err;
+        if (TraceReader::parse(bytes, &out, &err)) {
+            parsed++;
+        } else if (err.empty()) {
+            ADD_FAILURE() << "mutant " << i << " (" << bytes.size()
+                          << " bytes) rejected without a diagnostic";
+            break;
+        }
+    }
+    // Both outcomes occur: operand and delta flips still parse.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_LT(parsed, 20000u);
+}
+
 /** Closed-loop counter workload under capture; returns the serialized
  *  trace and fills @p stats / @p value with the capture run's
  *  results. */
@@ -558,6 +594,65 @@ TEST(TraceDeathTest, UnwritableCaptureFileIsFatal)
                      "/dev/full");
     }
     ASSERT_EQ(unsetenv("COMMTM_CAPTURE_TRACE"), 0);
+}
+
+/** Replay a capture of 8 thread streams on a 2-core machine. */
+void
+replayEightStreamsOnTwoCores()
+{
+    StatsSnapshot stats;
+    int64_t value = 0;
+    const std::vector<uint8_t> bytes = captureCounterRun(
+        MachineConfig::forCores(8), 8, 4, &stats, &value);
+    Trace t;
+    std::string err;
+    ASSERT_TRUE(TraceReader::parse(bytes, &t, &err)) << err;
+    MachineConfig small = MachineConfig::forCores(2);
+    small.numCores = 2;
+    replayCounterRun(small, t, nullptr, nullptr);
+}
+
+TEST(TraceDeathTest, ReplayWithMoreStreamsThanCoresIsFatal)
+{
+    EXPECT_DEATH(replayEightStreamsOnTwoCores(),
+                 "more simulated threads than cores: the 2-core machine "
+                 "already holds 2 threads");
+}
+
+/** Capture counter adds under label 1 of a two-label machine, then
+ *  replay them on a machine that defines label 0 only. */
+void
+replayLabelOneOnOneLabelMachine()
+{
+    MachineConfig cfg = MachineConfig::forCores(2);
+    cfg.numCores = 2;
+    cfg.mode = SystemMode::CommTm;
+    std::vector<uint8_t> bytes;
+    {
+        MachineConfig capture_cfg = cfg;
+        capture_cfg.captureTrace = true;
+        Machine m(capture_cfg);
+        m.labels().define(labels::makeAdd<int64_t>("UNUSED"));
+        CommCounter counter(m, CommCounter::defineLabel(m));
+        for (int t = 0; t < 2; t++) {
+            m.addThread([&counter](ThreadContext &ctx) {
+                for (int i = 0; i < 4; i++)
+                    counter.add(ctx, 1);
+            });
+        }
+        m.run();
+        bytes = m.traceWriter()->serialize();
+    }
+    Trace t;
+    std::string err;
+    ASSERT_TRUE(TraceReader::parse(bytes, &t, &err)) << err;
+    replayCounterRun(cfg, t, nullptr, nullptr);
+}
+
+TEST(TraceDeathTest, ReplayOfAnUndefinedLabelIsFatal)
+{
+    EXPECT_DEATH(replayLabelOneOnOneLabelMachine(),
+                 "label 1 is not defined: the registry defines 1 labels");
 }
 
 TEST(Trace, EnvOverrideForcesCaptureOn)
