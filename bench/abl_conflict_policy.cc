@@ -12,6 +12,7 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kTotalOps = 8000;
@@ -20,65 +21,48 @@ constexpr uint32_t kThreads = 32;
 MachineConfig
 cfgWith(SystemMode mode, ConflictPolicy policy)
 {
-    MachineConfig cfg = benchutil::machineCfg(mode);
+    MachineConfig cfg = machineCfg(mode);
     cfg.conflictPolicy = policy;
     return cfg;
 }
 
+/** Register one workload's {system} x {policy} family; @p run
+ *  simulates one point. */
 void
-label(benchmark::State &state, SystemMode mode, ConflictPolicy policy)
+addPolicyFamily(Registry &reg, const char *name,
+                MicroResult (*run)(const MachineConfig &))
 {
-    state.SetLabel(std::string(benchutil::modeName(mode)) + " / " +
-                   (policy == ConflictPolicy::TimestampOlderWins
-                        ? "timestamp"
-                        : "requester-wins"));
-}
-
-void
-BM_Ablation_Policy_Counter(benchmark::State &state)
-{
-    const auto mode = SystemMode(state.range(0));
-    const auto policy = ConflictPolicy(state.range(1));
-    MicroResult r;
-    for (auto _ : state)
-        r = runCounterMicro(cfgWith(mode, policy), kThreads, kTotalOps);
-    if (!r.valid)
-        state.SkipWithError("counter validation failed");
-    benchutil::reportStats(state, "abl_policy_counter", r.stats);
-    label(state, mode, policy);
-}
-
-void
-BM_Ablation_Policy_List(benchmark::State &state)
-{
-    const auto mode = SystemMode(state.range(0));
-    const auto policy = ConflictPolicy(state.range(1));
-    MicroResult r;
-    for (auto _ : state)
-        r = runListMicro(cfgWith(mode, policy), kThreads, kTotalOps, 50);
-    if (!r.valid)
-        state.SkipWithError("list validation failed");
-    benchutil::reportStats(state, "abl_policy_list", r.stats);
-    label(state, mode, policy);
+    Family &fam = addFamily(reg, name, "Baseline / timestamp", false);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (ConflictPolicy policy : {ConflictPolicy::TimestampOlderWins,
+                                      ConflictPolicy::RequesterWins}) {
+            const std::string label =
+                std::string(modeName(mode)) + " / " +
+                (policy == ConflictPolicy::TimestampOlderWins
+                     ? "timestamp"
+                     : "requester-wins");
+            fam.add(label, [=] {
+                const MicroResult r = run(cfgWith(mode, policy));
+                return rowResult(r.stats, r.valid,
+                                 "workload validation failed");
+            });
+        }
+    }
 }
 
 } // namespace
+
+void
+addConflictPolicyRows(Registry &reg)
+{
+    addPolicyFamily(reg, "abl_policy_counter",
+                    [](const MachineConfig &cfg) {
+                        return runCounterMicro(cfg, kThreads, kTotalOps);
+                    });
+    addPolicyFamily(reg, "abl_policy_list", [](const MachineConfig &cfg) {
+        return runListMicro(cfg, kThreads, kTotalOps, 50);
+    });
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Ablation_Policy_Counter)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   {int(commtm::ConflictPolicy::TimestampOlderWins),
-                    int(commtm::ConflictPolicy::RequesterWins)}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(commtm::BM_Ablation_Policy_List)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   {int(commtm::ConflictPolicy::TimestampOlderWins),
-                    int(commtm::ConflictPolicy::RequesterWins)}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

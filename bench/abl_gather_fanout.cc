@@ -13,63 +13,46 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint32_t kThreads = 64;
 
+/** Register one workload's fanout sweep; @p run simulates one point. */
 void
-BM_Ablation_GatherFanout_Refcount(benchmark::State &state)
+addFanoutFamily(Registry &reg, const char *name,
+                MicroResult (*run)(const MachineConfig &))
 {
-    const auto fanout = uint32_t(state.range(0));
-    MicroResult r;
-    for (auto _ : state) {
-        MachineConfig cfg = benchutil::machineCfg(SystemMode::CommTm);
-        cfg.gatherFanoutLimit = fanout;
-        r = runRefcountMicro(cfg, kThreads, 64000);
+    Family &fam = addFamily(reg, name, "all sharers (paper)", false);
+    for (uint32_t fanout : {0, 4, 16, 48}) {
+        const std::string label = fanout == 0
+                                      ? "all sharers (paper)"
+                                      : "fanout " + std::to_string(fanout);
+        fam.add(label, [=] {
+            MachineConfig cfg = machineCfg(SystemMode::CommTm);
+            cfg.gatherFanoutLimit = fanout;
+            const MicroResult r = run(cfg);
+            RowResult row =
+                rowResult(r.stats, r.valid, "workload validation failed");
+            row.extra = {{"fanout", double(fanout)}};
+            return row;
+        });
     }
-    if (!r.valid)
-        state.SkipWithError("refcount validation failed");
-    benchutil::reportStats(state, "abl_fanout_refcount", r.stats);
-    state.counters["fanout"] = fanout;
-    state.SetLabel(fanout == 0 ? "all sharers (paper)"
-                               : "fanout " + std::to_string(fanout));
-}
-
-void
-BM_Ablation_GatherFanout_List(benchmark::State &state)
-{
-    const auto fanout = uint32_t(state.range(0));
-    MicroResult r;
-    for (auto _ : state) {
-        MachineConfig cfg = benchutil::machineCfg(SystemMode::CommTm);
-        cfg.gatherFanoutLimit = fanout;
-        r = runListMicro(cfg, kThreads, 32000, 50, 16);
-    }
-    if (!r.valid)
-        state.SkipWithError("list validation failed");
-    benchutil::reportStats(state, "abl_fanout_list", r.stats);
-    state.counters["fanout"] = fanout;
-    state.SetLabel(fanout == 0 ? "all sharers (paper)"
-                               : "fanout " + std::to_string(fanout));
 }
 
 } // namespace
+
+void
+addGatherFanoutRows(Registry &reg)
+{
+    addFanoutFamily(reg, "abl_fanout_refcount",
+                    [](const MachineConfig &cfg) {
+                        return runRefcountMicro(cfg, kThreads, 64000);
+                    });
+    addFanoutFamily(reg, "abl_fanout_list", [](const MachineConfig &cfg) {
+        return runListMicro(cfg, kThreads, 32000, 50, 16);
+    });
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Ablation_GatherFanout_Refcount)
-    ->Arg(0)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(48)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(commtm::BM_Ablation_GatherFanout_List)
-    ->Arg(0)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(48)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -13,38 +13,38 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kTotalOps = 8000;
 constexpr uint32_t kThreads = 32;
 
+} // namespace
+
 void
-BM_Ablation_Quantum(benchmark::State &state)
+addQuantumRows(Registry &reg)
 {
-    const auto quantum = Cycle(state.range(0));
-    const auto mode = SystemMode(state.range(1));
-    MicroResult r;
-    for (auto _ : state) {
-        MachineConfig cfg = benchutil::machineCfg(mode);
-        cfg.schedQuantum = quantum;
-        r = runCounterMicro(cfg, kThreads, kTotalOps);
+    Family &fam =
+        addFamily(reg, "abl_quantum", "Baseline quantum=10", false);
+    for (Cycle quantum : {10, 100, 1000}) {
+        for (SystemMode mode :
+             {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+            const std::string label = std::string(modeName(mode)) +
+                                      " quantum=" +
+                                      std::to_string(quantum);
+            fam.add(label, [=] {
+                MachineConfig cfg = machineCfg(mode);
+                cfg.schedQuantum = quantum;
+                const MicroResult r =
+                    runCounterMicro(cfg, kThreads, kTotalOps);
+                RowResult row = rowResult(r.stats, r.valid,
+                                          "counter validation failed");
+                row.extra = {{"quantum", double(quantum)}};
+                return row;
+            });
+        }
     }
-    if (!r.valid)
-        state.SkipWithError("counter validation failed");
-    benchutil::reportStats(state, "abl_quantum", r.stats);
-    state.counters["quantum"] = double(quantum);
-    state.SetLabel(std::string(benchutil::modeName(mode)) +
-                   " quantum=" + std::to_string(quantum));
 }
 
-} // namespace
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Ablation_Quantum)
-    ->ArgsProduct({{10, 100, 1000},
-                   {int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -14,38 +14,37 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kTotalOps = 8000;
 constexpr uint32_t kThreads = 32;
 
+} // namespace
+
 void
-BM_Ablation_ReductionCost(benchmark::State &state)
+addReductionCostRows(Registry &reg)
 {
-    const auto cost = Cycle(state.range(0));
-    const auto mode = SystemMode(state.range(1));
-    MicroResult r;
-    for (auto _ : state) {
-        MachineConfig cfg = benchutil::machineCfg(mode);
-        cfg.reductionFixedCost = cost;
-        r = runRefcountMicro(cfg, kThreads, kTotalOps);
+    Family &fam = addFamily(reg, "abl_reduction_cost",
+                            "CommTM-NoGather cost=0", false);
+    for (Cycle cost : {0, 8, 64, 512}) {
+        for (SystemMode mode :
+             {SystemMode::CommTmNoGather, SystemMode::CommTm}) {
+            const std::string label = std::string(modeName(mode)) +
+                                      " cost=" + std::to_string(cost);
+            fam.add(label, [=] {
+                MachineConfig cfg = machineCfg(mode);
+                cfg.reductionFixedCost = cost;
+                const MicroResult r =
+                    runRefcountMicro(cfg, kThreads, kTotalOps);
+                RowResult row = rowResult(r.stats, r.valid,
+                                          "refcount validation failed");
+                row.extra = {{"reduction_cost", double(cost)}};
+                return row;
+            });
+        }
     }
-    if (!r.valid)
-        state.SkipWithError("refcount validation failed");
-    benchutil::reportStats(state, "abl_reduction_cost", r.stats);
-    state.counters["reduction_cost"] = double(cost);
-    state.SetLabel(std::string(benchutil::modeName(mode)) +
-                   " cost=" + std::to_string(cost));
 }
 
-} // namespace
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Ablation_ReductionCost)
-    ->ArgsProduct({{0, 8, 64, 512},
-                   {int(commtm::SystemMode::CommTmNoGather),
-                    int(commtm::SystemMode::CommTm)}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

@@ -1,13 +1,11 @@
 /**
  * @file
  * Perf-baseline file I/O: the exact-counter records behind
- * --check-baseline / --write-baseline (see bench_util.h and
- * docs/BENCHMARKS.md, "Perf baselines and regression checking").
+ * commtm_bench --check-baseline / --write-baseline (see bench_util.h
+ * and docs/BENCHMARKS.md, "Perf baselines and regression checking").
  *
- * Split out of bench_util.h so the regression tests can exercise the
- * parser without linking google-benchmark: this header depends only on
- * the standard library. The benchmark-facing glue (reportStats,
- * benchMain) stays in bench_util.h.
+ * This header depends only on the standard library, so perfbench and
+ * the regression tests read the pinned rows without the row registry.
  */
 
 #ifndef COMMTM_BENCH_BASELINE_IO_H
@@ -53,19 +51,12 @@ struct Entry {
 using Family = std::map<std::string, Entry>;
 using File = std::map<std::string, Family>;
 
-/** Rows recorded by reportStats() in this process, in run order. */
+/** One row's exact counters as a driver run produced them. */
 struct Recorded {
     std::string family;
     std::string row;
     Entry entry;
 };
-
-inline std::vector<Recorded> &
-recordedRows()
-{
-    static std::vector<Recorded> rows;
-    return rows;
-}
 
 // --- minimal JSON subset reader (objects, string keys, numbers) ---
 // The baseline file is machine-written by --write-baseline; this
@@ -364,24 +355,21 @@ save(const std::string &path, const File &file)
     return bool(out);
 }
 
-/** Merge this run's rows into @p file (replacing recorded families). */
+/** Merge @p rows into @p file, replacing the pinned rows they name
+ *  and keeping every other row. */
 inline void
-mergeRecorded(File &file)
+mergeRecorded(File &file, const std::vector<Recorded> &rows)
 {
-    for (const auto &r : recordedRows())
-        file[r.family].erase(r.row); // replaced below; keeps other rows
-    for (const auto &r : recordedRows())
+    for (const auto &r : rows)
         file[r.family][r.row] = r.entry;
 }
 
 /**
- * Compare this run's rows against @p file. Counters are exact;
- * speedup uses a 1e-6 relative tolerance and is skipped entirely when
- * @p filtered (a --benchmark_filter run may have skipped the family's
- * reference row, which redefines every speedup in the family).
+ * Compare @p rows against @p file. Counters are exact; speedup uses a
+ * 1e-6 relative tolerance (it went through decimal formatting).
  */
 inline bool
-check(const File &file, bool filtered)
+check(const File &file, const std::vector<Recorded> &rows)
 {
     bool ok = true;
     size_t checked = 0;
@@ -395,7 +383,7 @@ check(const File &file, bool filtered)
                      want.c_str());
         ok = false;
     };
-    for (const auto &r : recordedRows()) {
+    for (const auto &r : rows) {
         const auto fam = file.find(r.family);
         if (fam == file.end()) {
             std::fprintf(stderr,
@@ -446,20 +434,15 @@ check(const File &file, bool filtered)
                              std::to_string(want.p999));
             }
         }
-        if (!filtered) {
-            const double tol =
-                1e-6 * std::max(std::fabs(got.speedup),
-                                std::fabs(want.speedup));
-            if (std::fabs(got.speedup - want.speedup) > tol)
-                complain(r, "speedup", std::to_string(got.speedup),
-                         std::to_string(want.speedup));
-        }
+        const double tol =
+            1e-6 * std::max(std::fabs(got.speedup), std::fabs(want.speedup));
+        if (std::fabs(got.speedup - want.speedup) > tol)
+            complain(r, "speedup", std::to_string(got.speedup),
+                     std::to_string(want.speedup));
     }
-    if (ok) {
-        std::fprintf(stderr,
-                     "baseline check PASSED: %zu rows exact%s\n", checked,
-                     filtered ? " (speedup skipped: filtered run)" : "");
-    }
+    if (ok)
+        std::fprintf(stderr, "baseline check PASSED: %zu rows exact\n",
+                     checked);
     return ok;
 }
 

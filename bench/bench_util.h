@@ -1,35 +1,28 @@
 /**
  * @file
- * Shared benchmark-harness utilities. Every bench binary regenerates
- * one table or figure of the paper: each google-benchmark row is one
- * (system, thread-count) point, with counters carrying the simulated
- * results (cycles, speedup vs. the baseline HTM at 1 thread, abort and
- * traffic breakdowns). Wall time of the rows is simulator host time
- * and is not meaningful; read the counters.
+ * The bench row registry. Every table, figure, ablation and extension
+ * of docs/BENCHMARKS.md is a family of rows; a row is one point of
+ * its sweep (system, detection, threads, ...) whose run callable
+ * simulates that point and returns a RowResult. Each row file under
+ * bench/ keeps one sweep and exposes one add*Rows() function; allRows()
+ * lists them all without constructing a Machine.
  *
- * Perf-baseline subsystem: because every run is a deterministic
- * function of the seed, exact counter values can be checked in
- * (bench/baselines.json) and compared on every CI run. Figure benches
- * use COMMTM_BENCH_MAIN(), which accepts
- *
- *   --check-baseline[=path]   after running, compare each row's
- *                             sim_cycles/commits/aborts (exact) and
- *                             speedup (1e-6 relative) against the
- *                             baseline file; nonzero exit on mismatch.
- *   --write-baseline[=path]   regenerate this binary's families in the
- *                             baseline file, preserving the others.
- *
- * See docs/BENCHMARKS.md ("Perf baselines and regression checking").
+ * The commtm_bench driver (runBench, bench/driver.cc) selects rows by
+ * --filter, runs each selected family's speedup reference row first,
+ * prints one JSON object per row, and checks or writes the pinned
+ * exact counters in bench/baselines.json (docs/BENCHMARKS.md, "Perf
+ * baselines and regression checking").
  */
 
 #ifndef COMMTM_BENCH_BENCH_UTIL_H
 #define COMMTM_BENCH_BENCH_UTIL_H
 
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline_io.h"
@@ -38,12 +31,80 @@
 #include "sim/latency_hist.h"
 #include "sim/stats.h"
 
-#ifndef COMMTM_BASELINE_FILE
-#define COMMTM_BASELINE_FILE "bench/baselines.json"
-#endif
-
 namespace commtm {
 namespace benchutil {
+
+/** A named value a row reports (JSON key, number). */
+using Counter = std::pair<std::string, double>;
+
+/** Open-loop outcome of a service row: the measurement-window latency
+ *  merge (warmup requests excluded, rt/open_loop.h) and the queueing
+ *  totals. */
+struct Service {
+    LatencyHistogram latency;
+    ServiceStats stats;
+};
+
+/** What a row's run callable returns. */
+struct RowResult {
+    /** Simulated statistics; absent for a row that reports only
+     *  extra counters (Table I). */
+    std::optional<StatsSnapshot> stats;
+    /** Row-specific counters, reported after the standard ones. */
+    std::vector<Counter> extra;
+    std::optional<Service> service;
+    /** Free text reported with the row (Table II's operations). */
+    std::string note;
+    /** Non-empty: the workload's validation failed, and so does the
+     *  driver run. */
+    std::string error;
+};
+
+struct Row {
+    std::string label;
+    std::function<RowResult()> run;
+};
+
+/** One figure/table family: the rows share a speedup reference. */
+struct Family {
+    std::string name;
+    /** Label of the row whose cycles every row's speedup divides;
+     *  empty for families that report no speedup. */
+    std::string reference;
+    /** Rows are pinned in bench/baselines.json. */
+    bool pinned = false;
+    std::vector<Row> rows;
+
+    void
+    add(std::string label, std::function<RowResult()> run)
+    {
+        rows.push_back({std::move(label), std::move(run)});
+    }
+};
+
+using Registry = std::vector<Family>;
+
+/** Append a family to @p reg; the returned reference stays valid
+ *  until the next addFamily. */
+inline Family &
+addFamily(Registry &reg, std::string name, std::string reference,
+          bool pinned)
+{
+    reg.push_back({std::move(name), std::move(reference), pinned, {}});
+    return reg.back();
+}
+
+/** RowResult of a closed-loop run: @p stats, failing with @p what
+ *  unless @p valid. */
+inline RowResult
+rowResult(const StatsSnapshot &stats, bool valid, const char *what)
+{
+    RowResult r;
+    r.stats = stats;
+    if (!valid)
+        r.error = what;
+    return r;
+}
 
 /**
  * Machine for a bench row. Up to 128 threads this is exactly the
@@ -52,10 +113,12 @@ namespace benchutil {
  * (8 cores/tile, one bank/tile, smallest square mesh).
  */
 inline MachineConfig
-machineCfg(SystemMode mode, uint32_t threads = 0)
+machineCfg(SystemMode mode, uint32_t threads = 0,
+           ConflictDetection detection = ConflictDetection::Eager)
 {
     MachineConfig cfg = MachineConfig::forCores(threads);
     cfg.mode = mode;
+    cfg.conflictDetection = detection;
     return cfg;
 }
 
@@ -70,22 +133,12 @@ modeName(SystemMode mode)
     return "?";
 }
 
-/** Machine for a (system, detection) bench row — the eager/lazy
- *  variants the STAMP-port benches sweep. */
-inline MachineConfig
-machineCfg(SystemMode mode, ConflictDetection detection,
-           uint32_t threads)
-{
-    MachineConfig cfg = machineCfg(mode, threads);
-    cfg.conflictDetection = detection;
-    return cfg;
-}
-
-/** Row label for a (system, detection, threads) bench row: the
- *  baseline file keys on these strings ("CommTM/lazy @128t"), so
- *  every bench must build them identically. */
+/** Row label for a (system, threads, detection) row: the baseline
+ *  file keys on these strings ("CommTM/lazy @128t"), so every bench
+ *  must build them identically. */
 inline std::string
-rowName(SystemMode mode, ConflictDetection detection, uint32_t threads)
+rowName(SystemMode mode, uint32_t threads,
+        ConflictDetection detection = ConflictDetection::Eager)
 {
     std::string row = modeName(mode);
     if (detection == ConflictDetection::Lazy)
@@ -93,255 +146,98 @@ rowName(SystemMode mode, ConflictDetection detection, uint32_t threads)
     return row + " @" + std::to_string(threads) + "t";
 }
 
-/** Per-figure cache of the reference runtime (baseline HTM, 1 thread).
- *  Rows must be registered baseline-first so the reference fills in
- *  before the other systems report speedups. */
-inline double &
-referenceCycles(const std::string &family)
-{
-    static std::map<std::string, double> cache;
-    return cache[family];
-}
-
-// ---------------------------------------------------------------------
-// Baseline recording and checking: the Entry/File types, the JSON
-// parser, and load/save/check live in baseline_io.h (benchmark-free,
-// so tests/bench_baseline_test.cc links them without google-benchmark).
-// ---------------------------------------------------------------------
-
-/** Fill the standard counters every figure reports (no row label, no
- *  baseline recording — ablation/extension benches label themselves). */
-inline void
-reportStats(benchmark::State &state, const std::string &family,
-            const StatsSnapshot &stats)
-{
-    const ThreadStats agg = stats.aggregateThreads();
-    const double cycles = double(stats.runtimeCycles());
-    double &base = referenceCycles(family);
-    if (base == 0.0)
-        base = cycles;
-
-    state.counters["sim_Mcycles"] = cycles / 1e6;
-    state.counters["speedup"] = base / cycles;
-    state.counters["commits"] = double(agg.txCommitted);
-    state.counters["aborts"] = double(agg.txAborted);
-
-    // Fig. 17-style cycle breakdown.
-    const double total = double(agg.totalCycles());
-    state.counters["cyc_nonTx%"] =
-        total ? 100.0 * double(agg.nonTxCycles) / total : 0;
-    state.counters["cyc_committed%"] =
-        total ? 100.0 * double(agg.txCommittedCycles) / total : 0;
-    state.counters["cyc_wasted%"] =
-        total ? 100.0 * double(agg.txAbortedCycles) / total : 0;
-
-    // Fig. 18-style wasted-cycle breakdown.
-    const double wasted = double(agg.txAbortedCycles);
-    const auto frac = [&](WasteBucket b) {
-        return wasted ? 100.0 * double(agg.wastedByCause[size_t(b)]) /
-                            wasted
-                      : 0.0;
-    };
-    state.counters["waste_RaW%"] = frac(WasteBucket::ReadAfterWrite);
-    state.counters["waste_WaR%"] = frac(WasteBucket::WriteAfterRead);
-    state.counters["waste_gather%"] =
-        frac(WasteBucket::GatherAfterLabeled);
-    state.counters["waste_other%"] = frac(WasteBucket::Others);
-
-    // Fig. 19-style GET breakdown (L2 <-> L3 requests).
-    state.counters["GETS"] =
-        double(stats.machine.l3Gets[size_t(GetType::GETS)]);
-    state.counters["GETX"] =
-        double(stats.machine.l3Gets[size_t(GetType::GETX)]);
-    state.counters["GETU"] =
-        double(stats.machine.l3Gets[size_t(GetType::GETU)]);
-
-    state.counters["labeled_frac"] =
-        agg.instrs ? double(agg.labeledInstrs) / double(agg.instrs) : 0;
-    state.counters["reductions"] = double(stats.machine.reductions);
-    state.counters["gathers"] = double(stats.machine.gathers);
-}
-
-/**
- * Figure-bench variant with an explicit row label: fill the standard
- * counters, label the row, and record the exact counters for the
- * baseline subsystem (--check-baseline / --write-baseline). Used by
- * benches whose rows are not fully described by (mode, threads) —
- * e.g. the eager/lazy variants of the new STAMP workloads.
- */
-inline void
-reportStats(benchmark::State &state, const std::string &family,
-            const std::string &row, const StatsSnapshot &stats)
-{
-    reportStats(state, family, stats);
-    const ThreadStats agg = stats.aggregateThreads();
-    state.SetLabel(row);
-    baseline::Recorded rec;
-    rec.family = family;
-    rec.row = row;
-    rec.entry.simCycles = stats.runtimeCycles();
-    rec.entry.commits = agg.txCommitted;
-    rec.entry.aborts = agg.txAborted;
-    rec.entry.speedup =
-        referenceCycles(family) / double(stats.runtimeCycles());
-    baseline::recordedRows().push_back(rec);
-}
-
-/**
- * Open-loop service-bench variant: the standard counters plus the
- * measurement-window latency quantiles (simulated cycles, exact) and
- * the queueing outcomes, with p50/p99/p999 recorded into the baseline
- * row (docs/BENCHMARKS.md, "Open-loop service rows"). @p hist must be
- * the measurement-window merge — warmup requests are excluded by
- * construction (rt/open_loop.h).
- */
-inline void
-reportServiceStats(benchmark::State &state, const std::string &family,
-                   const std::string &row, const StatsSnapshot &stats,
-                   const LatencyHistogram &hist,
-                   const ServiceStats &svc)
-{
-    reportStats(state, family, row, stats);
-    state.counters["p50_cyc"] = double(hist.p50());
-    state.counters["p99_cyc"] = double(hist.p99());
-    state.counters["p999_cyc"] = double(hist.p999());
-    state.counters["admitted"] = double(svc.admitted);
-    state.counters["dropped"] = double(svc.dropped);
-    state.counters["qdepth_max"] = double(svc.maxDepth);
-    baseline::Entry &entry = baseline::recordedRows().back().entry;
-    entry.hasQuantiles = true;
-    entry.p50 = hist.p50();
-    entry.p99 = hist.p99();
-    entry.p999 = hist.p999();
-}
-
-/**
- * Figure-bench variant: standard "<Mode> @<threads>t" row label.
- */
-inline void
-reportStats(benchmark::State &state, const std::string &family,
-            SystemMode mode, uint32_t threads, const StatsSnapshot &stats)
-{
-    reportStats(state, family,
-                std::string(modeName(mode)) + " @" +
-                    std::to_string(threads) + "t",
-                stats);
-}
-
 /** Thread counts swept in the paper's figures (x-axes of Figs. 9-16). */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 threadSweep()
 {
-    static const std::vector<int64_t> sweep = {1, 2, 4, 8, 16,
-                                               32, 64, 96, 128};
+    static const std::vector<uint32_t> sweep = {1, 2, 4, 8, 16,
+                                                32, 64, 96, 128};
     return sweep;
 }
 
 /** threadSweep extended past the paper's 128-thread machine, for the
  *  benches that probe the scaled (256-core) geometry and the spilled
  *  sharer representation. */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 extendedThreadSweep()
 {
-    static const std::vector<int64_t> sweep = {1, 2, 4, 8, 16, 32,
-                                               64, 96, 128, 256};
+    static const std::vector<uint32_t> sweep = {1, 2, 4, 8, 16, 32,
+                                                64, 96, 128, 256};
     return sweep;
 }
 
 /** Reduced sweep for the (slower) full applications. */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 appThreadSweep()
 {
-    static const std::vector<int64_t> sweep = {1, 8, 32, 64, 128};
+    static const std::vector<uint32_t> sweep = {1, 8, 32, 64, 128};
     return sweep;
 }
 
-/**
- * main() for figure benches: google-benchmark plus the
- * --check-baseline / --write-baseline modes described in the file
- * header. Unrecognized flags still error out via benchmark itself.
- */
-inline int
-benchMain(int argc, char **argv)
-{
-    bool check_mode = false;
-    bool write_mode = false;
-    bool filtered = false;
-    std::string path = COMMTM_BASELINE_FILE;
-    std::vector<char *> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        const auto value_of = [&](const char *flag) {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0) {
-                path = arg.substr(prefix.size());
-                return true;
-            }
-            return arg == flag;
-        };
-        if (value_of("--check-baseline")) {
-            check_mode = true;
-        } else if (value_of("--write-baseline")) {
-            write_mode = true;
-        } else {
-            if (arg.rfind("--benchmark_filter", 0) == 0)
-                filtered = true;
-            args.push_back(argv[i]);
-        }
-    }
-    int bench_argc = int(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+// --- the row files, one add*Rows() each ---
+void addFig09Rows(Registry &reg);
+void addFig10Rows(Registry &reg);
+void addFig12Rows(Registry &reg);
+void addFig13Rows(Registry &reg);
+void addFig14Rows(Registry &reg);
+void addBoruvkaRows(Registry &reg);
+void addGenomeRows(Registry &reg);
+void addIntruderRows(Registry &reg);
+void addKmeansRows(Registry &reg);
+void addLabyrinthRows(Registry &reg);
+void addSsca2Rows(Registry &reg);
+void addVacationRows(Registry &reg);
+void addYadaRows(Registry &reg);
+void addReplayRows(Registry &reg);
+void addSvcCounterRows(Registry &reg);
+void addSvcListRows(Registry &reg);
+void addSvcTopkRows(Registry &reg);
+void addTable1Rows(Registry &reg);
+void addTable2Rows(Registry &reg);
+void addConflictPolicyRows(Registry &reg);
+void addGatherFanoutRows(Registry &reg);
+void addLabelsRows(Registry &reg);
+void addQuantumRows(Registry &reg);
+void addReductionCostRows(Registry &reg);
+void addExtLazyRows(Registry &reg);
 
-    if (write_mode) {
-        if (filtered) {
-            // A filtered run latches the wrong speedup reference
-            // (referenceCycles fills from the first row that runs),
-            // which would poison the written speedups.
-            std::fprintf(stderr,
-                         "--write-baseline refuses to run with "
-                         "--benchmark_filter: run the full sweep\n");
-            return 1;
-        }
-        baseline::File file;
-        std::string err;
-        baseline::load(path, file, err); // absent/empty file is fine
-        baseline::mergeRecorded(file);
-        if (!baseline::save(path, file)) {
-            std::fprintf(stderr, "cannot write baseline file %s\n",
-                         path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "baseline updated: %s (%zu rows)\n",
-                     path.c_str(),
-                     baseline::recordedRows().size());
-    }
-    if (check_mode) {
-        baseline::File file;
-        std::string err;
-        if (!baseline::load(path, file, err)) {
-            std::fprintf(stderr, "baseline check FAILED: %s\n",
-                         err.c_str());
-            return 1;
-        }
-        if (!baseline::check(file, filtered))
-            return 1;
-    }
-    return 0;
-}
+/** Every family of every row file, in docs/BENCHMARKS.md order. */
+Registry allRows();
+
+/** What a row reports: its counters in output order, and the exact
+ *  counters a pinned family checks or writes. */
+struct Report {
+    std::vector<Counter> counters;
+    baseline::Entry entry;
+};
+
+/** Counters and baseline entry of @p r; @p reference_cycles is the
+ *  family reference's runtime (0: the family reports no speedup). */
+Report report(const RowResult &r, double reference_cycles);
+
+/** Parsed commtm_bench command line. */
+struct Options {
+    std::string filter; ///< regex searched in "family/row"; empty: all
+    bool list = false;
+    bool check = false;
+    bool write = false;
+    std::string baselinePath = COMMTM_BASELINE_FILE;
+};
+
+/** Parse the four commtm_bench flags; false with @p err on anything
+ *  else. */
+bool parseArgs(int argc, char **argv, Options &opts, std::string &err);
+
+/**
+ * Run the rows of @p reg that @p opts selects, printing one JSON
+ * object per row to @p out, then check or write the baseline file.
+ * Each selected family's reference row runs first, once. Returns the
+ * process exit code: nonzero on a row whose validation failed, a
+ * baseline mismatch, or a filter that selects nothing.
+ */
+int runBench(const Registry &reg, const Options &opts, std::FILE *out);
 
 } // namespace benchutil
 } // namespace commtm
-
-/** Use instead of BENCHMARK_MAIN() in benches with checked-in baselines. */
-#define COMMTM_BENCH_MAIN()                                               \
-    int main(int argc, char **argv)                                       \
-    {                                                                     \
-        return commtm::benchutil::benchMain(argc, argv);                  \
-    }
 
 #endif // COMMTM_BENCH_BENCH_UTIL_H

@@ -14,75 +14,50 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint32_t kThreads = 64;
 
-MachineConfig
-cfgFor(SystemMode mode, ConflictDetection detection)
-{
-    MachineConfig cfg = benchutil::machineCfg(mode);
-    cfg.conflictDetection = detection;
-    return cfg;
-}
-
+/** Register one workload's {system} x {detection} family; @p run
+ *  simulates one point. */
 void
-setRowLabel(benchmark::State &state, SystemMode mode,
-            ConflictDetection detection)
+addLazyFamily(Registry &reg, const char *name,
+              RowResult (*run)(const MachineConfig &))
 {
-    state.SetLabel(std::string(benchutil::modeName(mode)) + " / " +
-                   (detection == ConflictDetection::Eager ? "eager"
-                                                          : "lazy"));
-}
-
-void
-BM_Ext_Lazy_Counter(benchmark::State &state)
-{
-    const auto mode = SystemMode(state.range(0));
-    const auto detection = ConflictDetection(state.range(1));
-    MicroResult r;
-    for (auto _ : state)
-        r = runCounterMicro(cfgFor(mode, detection), kThreads, 12000);
-    if (!r.valid)
-        state.SkipWithError("counter validation failed");
-    benchutil::reportStats(state, "ext_lazy_counter", r.stats);
-    setRowLabel(state, mode, detection);
-}
-
-void
-BM_Ext_Lazy_Kmeans(benchmark::State &state)
-{
-    const auto mode = SystemMode(state.range(0));
-    const auto detection = ConflictDetection(state.range(1));
-    KmeansConfig cfg;
-    cfg.numPoints = 1024;
-    cfg.maxIters = 3;
-    KmeansResult r;
-    for (auto _ : state)
-        r = runKmeans(cfgFor(mode, detection), kThreads, cfg);
-    if (!r.valid(cfg.numPoints))
-        state.SkipWithError("kmeans population mismatch");
-    benchutil::reportStats(state, "ext_lazy_kmeans", r.stats);
-    setRowLabel(state, mode, detection);
+    Family &fam = addFamily(reg, name, "Baseline / eager", false);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (ConflictDetection detection :
+             {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+            const std::string label =
+                std::string(modeName(mode)) + " / " +
+                (detection == ConflictDetection::Eager ? "eager"
+                                                       : "lazy");
+            fam.add(label, [=] {
+                return run(machineCfg(mode, 0, detection));
+            });
+        }
+    }
 }
 
 } // namespace
+
+void
+addExtLazyRows(Registry &reg)
+{
+    addLazyFamily(reg, "ext_lazy_counter", [](const MachineConfig &cfg) {
+        const MicroResult r = runCounterMicro(cfg, kThreads, 12000);
+        return rowResult(r.stats, r.valid, "counter validation failed");
+    });
+    addLazyFamily(reg, "ext_lazy_kmeans", [](const MachineConfig &cfg) {
+        KmeansConfig km;
+        km.numPoints = 1024;
+        km.maxIters = 3;
+        const KmeansResult r = runKmeans(cfg, kThreads, km);
+        return rowResult(r.stats, r.valid(km.numPoints),
+                         "kmeans population mismatch");
+    });
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Ext_Lazy_Counter)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   {int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(commtm::BM_Ext_Lazy_Kmeans)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   {int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_MAIN();

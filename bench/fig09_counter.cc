@@ -10,34 +10,33 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kTotalOps = 24000; // paper: 10M, scaled to sim speed
 
-void
-BM_Fig09_Counter(benchmark::State &state)
+RowResult
+counterRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
-    MicroResult r;
-    for (auto _ : state)
-        r = runCounterMicro(benchutil::machineCfg(mode, threads), threads,
-                            kTotalOps);
-    if (!r.valid)
-        state.SkipWithError("counter validation failed");
-    benchutil::reportStats(state, "fig09", mode, threads, r.stats);
+    const MicroResult r =
+        runCounterMicro(machineCfg(mode, threads), threads, kTotalOps);
+    return rowResult(r.stats, r.valid, "counter validation failed");
 }
 
 } // namespace
-} // namespace commtm
 
 // The sweep runs past the paper's 128-thread machine: the 256t rows
 // exercise the scaled mesh geometry and the spilled sharer set.
-BENCHMARK(commtm::BM_Fig09_Counter)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::extendedThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void
+addFig09Rows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig09", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (uint32_t threads : extendedThreadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return counterRow(mode, threads); });
+    }
+}
 
-COMMTM_BENCH_MAIN();
+} // namespace benchutil
+} // namespace commtm

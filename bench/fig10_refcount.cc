@@ -11,6 +11,7 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 // The paper runs 1M references; the scaled run must still be large
@@ -19,29 +20,28 @@ namespace {
 constexpr uint64_t kTotalOps = 128000;
 constexpr uint32_t kObjects = 16;
 
-void
-BM_Fig10_Refcount(benchmark::State &state)
+RowResult
+refcountRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
-    MicroResult r;
-    for (auto _ : state)
-        r = runRefcountMicro(benchutil::machineCfg(mode, threads), threads,
-                             kTotalOps, kObjects);
-    if (!r.valid)
-        state.SkipWithError("refcount validation failed");
-    benchutil::reportStats(state, "fig10", mode, threads, r.stats);
+    const MicroResult r = runRefcountMicro(machineCfg(mode, threads),
+                                           threads, kTotalOps, kObjects);
+    return rowResult(r.stats, r.valid, "refcount validation failed");
 }
 
 } // namespace
+
+void
+addFig10Rows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig10", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm,
+                            SystemMode::CommTmNoGather,
+                            SystemMode::CommTm}) {
+        for (uint32_t threads : threadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return refcountRow(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig10_Refcount)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTmNoGather),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::threadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

@@ -11,58 +11,44 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kTotalOps = 64000; // paper: 10M ops, scaled
 
-void
-runListBench(benchmark::State &state, const std::string &family,
-             uint32_t enqueue_pct)
+RowResult
+listRow(SystemMode mode, uint32_t threads, uint32_t enqueue_pct)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
     // The mixed run seeds each thread's local list: the paper's 10M-op
     // run builds this standing buffer on its own (failed dequeues tilt
     // the enqueue/dequeue balance); scaled runs must start from it.
     const uint32_t prefill = enqueue_pct < 100 ? 16 : 0;
-    MicroResult r;
-    for (auto _ : state)
-        r = runListMicro(benchutil::machineCfg(mode, threads), threads,
-                         kTotalOps, enqueue_pct, prefill);
-    if (!r.valid)
-        state.SkipWithError("list validation failed");
-    benchutil::reportStats(state, family, mode, threads, r.stats);
+    const MicroResult r = runListMicro(machineCfg(mode, threads), threads,
+                                       kTotalOps, enqueue_pct, prefill);
+    return rowResult(r.stats, r.valid, "list validation failed");
 }
 
 void
-BM_Fig12a_Enqueues(benchmark::State &state)
+addListFamily(Registry &reg, const char *family, uint32_t enqueue_pct)
 {
-    runListBench(state, "fig12a", 100);
-}
-
-void
-BM_Fig12b_Mixed(benchmark::State &state)
-{
-    runListBench(state, "fig12b", 50);
+    Family &fam = addFamily(reg, family, "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (uint32_t threads : extendedThreadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return listRow(mode, threads, enqueue_pct); });
+    }
 }
 
 } // namespace
-} // namespace commtm
 
 // Both sweeps run past the paper's 128-thread machine: the 256t rows
 // exercise the scaled mesh geometry and the spilled sharer set.
-BENCHMARK(commtm::BM_Fig12a_Enqueues)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::extendedThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void
+addFig12Rows(Registry &reg)
+{
+    addListFamily(reg, "fig12a", 100);
+    addListFamily(reg, "fig12b", 50);
+}
 
-BENCHMARK(commtm::BM_Fig12b_Mixed)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::extendedThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();
+} // namespace benchutil
+} // namespace commtm

@@ -11,32 +11,31 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kTotalOps = 24000; // paper: 10M, scaled
 
-void
-BM_Fig13_OrderedPut(benchmark::State &state)
+RowResult
+oputRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
-    MicroResult r;
-    for (auto _ : state)
-        r = runOputMicro(benchutil::machineCfg(mode, threads), threads,
-                         kTotalOps);
-    if (!r.valid)
-        state.SkipWithError("ordered-put validation failed");
-    benchutil::reportStats(state, "fig13", mode, threads, r.stats);
+    const MicroResult r =
+        runOputMicro(machineCfg(mode, threads), threads, kTotalOps);
+    return rowResult(r.stats, r.valid, "ordered-put validation failed");
 }
 
 } // namespace
+
+void
+addFig13Rows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig13", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (uint32_t threads : threadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return oputRow(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig13_OrderedPut)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::threadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

@@ -10,33 +10,32 @@
 #include "apps/micro.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kTotalOps = 48000; // paper: 10M inserts, scaled
 constexpr uint32_t kK = 100; // paper: K=1000; K and ops scaled together
 
-void
-BM_Fig14_TopK(benchmark::State &state)
+RowResult
+topkRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
-    MicroResult r;
-    for (auto _ : state)
-        r = runTopkMicro(benchutil::machineCfg(mode, threads), threads,
-                         kTotalOps, kK);
-    if (!r.valid)
-        state.SkipWithError("top-K validation failed");
-    benchutil::reportStats(state, "fig14", mode, threads, r.stats);
+    const MicroResult r =
+        runTopkMicro(machineCfg(mode, threads), threads, kTotalOps, kK);
+    return rowResult(r.stats, r.valid, "top-K validation failed");
 }
 
 } // namespace
+
+void
+addFig14Rows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig14", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (uint32_t threads : threadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return topkRow(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig14_TopK)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::threadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

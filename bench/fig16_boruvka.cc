@@ -12,32 +12,34 @@
 #include "apps/boruvka.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Boruvka(benchmark::State &state)
+RowResult
+boruvkaRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
     BoruvkaConfig cfg;
     cfg.numVertices = 4096;
-    BoruvkaResult r;
-    for (auto _ : state)
-        r = runBoruvka(benchutil::machineCfg(mode, threads), threads, cfg);
-    if (!r.valid())
-        state.SkipWithError("MST weight mismatch vs Kruskal");
-    benchutil::reportStats(state, "fig16_boruvka", mode, threads, r.stats);
-    state.counters["rounds"] = r.rounds;
+    const BoruvkaResult r =
+        runBoruvka(machineCfg(mode, threads), threads, cfg);
+    RowResult row =
+        rowResult(r.stats, r.valid(), "MST weight mismatch vs Kruskal");
+    row.extra = {{"rounds", double(r.rounds)}};
+    return row;
 }
 
 } // namespace
+
+void
+addBoruvkaRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_boruvka", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (uint32_t threads : appThreadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return boruvkaRow(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Boruvka)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::appThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

@@ -12,34 +12,37 @@
 #include "apps/genome.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Genome(benchmark::State &state)
+RowResult
+genomeRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
     GenomeConfig cfg;
     cfg.genomeLength = 8192;
     cfg.numSegments = 16384;
-    GenomeResult r;
-    for (auto _ : state)
-        r = runGenome(benchutil::machineCfg(mode, threads), threads, cfg);
-    if (!r.valid())
-        state.SkipWithError("genome dedup/link mismatch");
-    benchutil::reportStats(state, "fig16_genome", mode, threads, r.stats);
-    state.counters["resizes"] = double(r.tableResizes);
+    const GenomeResult r =
+        runGenome(machineCfg(mode, threads), threads, cfg);
+    RowResult row =
+        rowResult(r.stats, r.valid(), "genome dedup/link mismatch");
+    row.extra = {{"resizes", double(r.tableResizes)}};
+    return row;
 }
 
 } // namespace
+
+void
+addGenomeRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_genome", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm,
+                            SystemMode::CommTmNoGather,
+                            SystemMode::CommTm}) {
+        for (uint32_t threads : appThreadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return genomeRow(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Genome)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTmNoGather),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::appThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

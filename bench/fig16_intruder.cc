@@ -15,42 +15,40 @@
 #include "apps/intruder.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Intruder(benchmark::State &state)
+RowResult
+intruderRow(SystemMode mode, ConflictDetection detection, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto detection = ConflictDetection(state.range(1));
-    const auto threads = uint32_t(state.range(2));
     IntruderConfig cfg;
     cfg.numFlows = 1024; // scaled down from STAMP's stream (see docs)
     cfg.maxFrags = 8;
-    IntruderResult r;
-    for (auto _ : state)
-        r = runIntruder(
-            benchutil::machineCfg(mode, detection, threads), threads,
-            cfg);
-    if (!r.valid())
-        state.SkipWithError("intruder reassembly/detection mismatch");
-    benchutil::reportStats(state, "fig16_intruder",
-                           benchutil::rowName(mode, detection,
-                                              threads),
-                           r.stats);
-    state.counters["flows"] = double(r.flowsCompleted);
-    state.counters["attacks"] = double(r.attacksDetected);
+    const IntruderResult r =
+        runIntruder(machineCfg(mode, threads, detection), threads, cfg);
+    RowResult row = rowResult(r.stats, r.valid(),
+                              "intruder reassembly/detection mismatch");
+    row.extra = {{"flows", double(r.flowsCompleted)},
+                 {"attacks", double(r.attacksDetected)}};
+    return row;
 }
 
 } // namespace
+
+void
+addIntruderRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_intruder", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (ConflictDetection detection :
+             {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+            for (uint32_t threads : {1, 32, 128})
+                fam.add(rowName(mode, threads, detection), [=] {
+                    return intruderRow(mode, detection, threads);
+                });
+        }
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Intruder)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   {int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)},
-                   {1, 32, 128}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

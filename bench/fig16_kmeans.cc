@@ -11,33 +11,35 @@
 #include "apps/kmeans.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Kmeans(benchmark::State &state)
+RowResult
+kmeansRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
     KmeansConfig cfg;
     cfg.numPoints = 2048;
     cfg.maxIters = 4;
-    KmeansResult r;
-    for (auto _ : state)
-        r = runKmeans(benchutil::machineCfg(mode, threads), threads, cfg);
-    if (!r.valid(cfg.numPoints))
-        state.SkipWithError("kmeans population mismatch");
-    benchutil::reportStats(state, "fig16_kmeans", mode, threads, r.stats);
-    state.counters["iterations"] = r.iterations;
+    const KmeansResult r =
+        runKmeans(machineCfg(mode, threads), threads, cfg);
+    RowResult row = rowResult(r.stats, r.valid(cfg.numPoints),
+                              "kmeans population mismatch");
+    row.extra = {{"iterations", double(r.iterations)}};
+    return row;
 }
 
 } // namespace
+
+void
+addKmeansRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_kmeans", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (uint32_t threads : appThreadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return kmeansRow(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Kmeans)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::appThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

@@ -14,44 +14,42 @@
 #include "apps/labyrinth.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Labyrinth(benchmark::State &state)
+RowResult
+labyrinthRow(SystemMode mode, ConflictDetection detection, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto detection = ConflictDetection(state.range(1));
-    const auto threads = uint32_t(state.range(2));
     LabyrinthConfig cfg;
     cfg.width = 128; // scaled down from STAMP's 512x512 maze (see docs)
     cfg.height = 128;
     cfg.numPaths = 1024;
     cfg.maxDisp = 8; // short routes: the grid stays undersubscribed
-    LabyrinthResult r;
-    for (auto _ : state)
-        r = runLabyrinth(
-            benchutil::machineCfg(mode, detection, threads), threads,
-            cfg);
-    if (!r.valid())
-        state.SkipWithError("labyrinth token/overlap mismatch");
-    benchutil::reportStats(state, "fig16_labyrinth",
-                           benchutil::rowName(mode, detection,
-                                              threads),
-                           r.stats);
-    state.counters["routed"] = double(r.pathsRouted);
-    state.counters["cells"] = double(r.cellsClaimed);
+    const LabyrinthResult r =
+        runLabyrinth(machineCfg(mode, threads, detection), threads, cfg);
+    RowResult row = rowResult(r.stats, r.valid(),
+                              "labyrinth token/overlap mismatch");
+    row.extra = {{"routed", double(r.pathsRouted)},
+                 {"cells", double(r.cellsClaimed)}};
+    return row;
 }
 
 } // namespace
+
+void
+addLabyrinthRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_labyrinth", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (ConflictDetection detection :
+             {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+            for (uint32_t threads : {1, 32, 128})
+                fam.add(rowName(mode, threads, detection), [=] {
+                    return labyrinthRow(mode, detection, threads);
+                });
+        }
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Labyrinth)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   {int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)},
-                   {1, 32, 128}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

@@ -11,32 +11,31 @@
 #include "apps/ssca2.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Ssca2(benchmark::State &state)
+RowResult
+ssca2Row(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
     Ssca2Config cfg;
     cfg.scale = 14; // paper: -s16; small scales create artificial contention
     cfg.edgeFactor = 8;
-    Ssca2Result r;
-    for (auto _ : state)
-        r = runSsca2(benchutil::machineCfg(mode, threads), threads, cfg);
-    if (!r.valid())
-        state.SkipWithError("ssca2 adjacency inconsistent");
-    benchutil::reportStats(state, "fig16_ssca2", mode, threads, r.stats);
+    const Ssca2Result r = runSsca2(machineCfg(mode, threads), threads, cfg);
+    return rowResult(r.stats, r.valid(), "ssca2 adjacency inconsistent");
 }
 
 } // namespace
+
+void
+addSsca2Rows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_ssca2", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (uint32_t threads : appThreadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return ssca2Row(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Ssca2)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::appThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

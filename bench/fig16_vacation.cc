@@ -11,34 +11,37 @@
 #include "apps/vacation.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Vacation(benchmark::State &state)
+RowResult
+vacationRow(SystemMode mode, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto threads = uint32_t(state.range(1));
     VacationConfig cfg;
     cfg.relations = 2048;
     cfg.numTasks = 6144;
-    VacationResult r;
-    for (auto _ : state)
-        r = runVacation(benchutil::machineCfg(mode, threads), threads, cfg);
-    if (!r.valid())
-        state.SkipWithError("vacation inventory not conserved");
-    benchutil::reportStats(state, "fig16_vacation", mode, threads, r.stats);
-    state.counters["reservations"] = double(r.reservationsMade);
+    const VacationResult r =
+        runVacation(machineCfg(mode, threads), threads, cfg);
+    RowResult row =
+        rowResult(r.stats, r.valid(), "vacation inventory not conserved");
+    row.extra = {{"reservations", double(r.reservationsMade)}};
+    return row;
 }
 
 } // namespace
+
+void
+addVacationRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_vacation", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm,
+                            SystemMode::CommTmNoGather,
+                            SystemMode::CommTm}) {
+        for (uint32_t threads : appThreadSweep())
+            fam.add(rowName(mode, threads),
+                    [=] { return vacationRow(mode, threads); });
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Vacation)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTmNoGather),
-                    int(commtm::SystemMode::CommTm)},
-                   commtm::benchutil::appThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

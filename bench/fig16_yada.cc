@@ -15,42 +15,40 @@
 #include "apps/yada.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
-void
-BM_Fig16_Yada(benchmark::State &state)
+RowResult
+yadaRow(SystemMode mode, ConflictDetection detection, uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto detection = ConflictDetection(state.range(1));
-    const auto threads = uint32_t(state.range(2));
     YadaConfig cfg;
     cfg.initialBad = 512; // scaled down from STAMP's ttimeu inputs
     cfg.maxDepth = 6;
     cfg.cavityCost = 96;
-    YadaResult r;
-    for (auto _ : state)
-        r = runYada(
-            benchutil::machineCfg(mode, detection, threads), threads,
-            cfg);
-    if (!r.valid())
-        state.SkipWithError("yada refinement mismatch");
-    benchutil::reportStats(state, "fig16_yada",
-                           benchutil::rowName(mode, detection,
-                                              threads),
-                           r.stats);
-    state.counters["elements"] = double(r.elementsProcessed);
+    const YadaResult r =
+        runYada(machineCfg(mode, threads, detection), threads, cfg);
+    RowResult row =
+        rowResult(r.stats, r.valid(), "yada refinement mismatch");
+    row.extra = {{"elements", double(r.elementsProcessed)}};
+    return row;
 }
 
 } // namespace
+
+void
+addYadaRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "fig16_yada", "Baseline @1t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (ConflictDetection detection :
+             {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+            for (uint32_t threads : {1, 32, 128})
+                fam.add(rowName(mode, threads, detection), [=] {
+                    return yadaRow(mode, detection, threads);
+                });
+        }
+    }
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-BENCHMARK(commtm::BM_Fig16_Yada)
-    ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),
-                    int(commtm::SystemMode::CommTm)},
-                   {int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)},
-                   {1, 32, 128}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-COMMTM_BENCH_MAIN();

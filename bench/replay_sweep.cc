@@ -25,6 +25,7 @@
 #include "bench_util.h"
 
 #include <map>
+#include <optional>
 
 #include "lib/counter.h"
 #include "lib/linked_list.h"
@@ -34,6 +35,7 @@
 #include "trace/trace_writer.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kCounterOps = 24000; // fig09's total
@@ -50,8 +52,7 @@ opsOf(uint32_t thread, uint32_t threads, uint64_t total)
 MachineConfig
 captureCfg(uint32_t threads)
 {
-    MachineConfig cfg =
-        benchutil::machineCfg(SystemMode::CommTm, threads);
+    MachineConfig cfg = machineCfg(SystemMode::CommTm, threads);
     cfg.captureTrace = true;
     return cfg;
 }
@@ -113,116 +114,76 @@ listCapture(uint32_t threads)
     return t;
 }
 
-MachineConfig
-replayCfg(ConflictDetection detection, uint32_t threads)
+/** Replay @p t on @p cfg; a counter replay must land every add. */
+RowResult
+replayRow(const Trace &t, const MachineConfig &cfg, bool counter)
 {
-    return benchutil::machineCfg(SystemMode::CommTm, detection,
-                                 threads);
-}
-
-void
-BM_Replay_Counter(benchmark::State &state)
-{
-    const auto detection = ConflictDetection(state.range(0));
-    const auto threads = uint32_t(state.range(1));
-    const Trace &t = counterCapture(threads);
-    StatsSnapshot stats;
-    for (auto _ : state) {
-        MachineConfig cfg = replayCfg(detection, threads);
-        Machine m(cfg);
-        const Label add = CommCounter::defineLabel(m);
-        CommCounter counter(m, add);
-        ReplayFrontend fe(t);
-        fe.attach(m);
-        m.run();
-        if (counter.peek(m) != int64_t(kCounterOps))
-            state.SkipWithError("counter end-state validation failed");
-        stats = m.stats();
-    }
-    benchutil::reportStats(
-        state, "replay",
-        benchutil::rowName(SystemMode::CommTm, detection, threads),
-        stats);
-}
-
-void
-BM_Replay_CounterSmallCache(benchmark::State &state)
-{
-    const auto threads = uint32_t(state.range(0));
-    const Trace &t = counterCapture(threads);
-    StatsSnapshot stats;
-    for (auto _ : state) {
-        // Half-size caches at every level: the same capture under
-        // real eviction pressure (U evictions, writebacks).
-        MachineConfig cfg =
-            replayCfg(ConflictDetection::Eager, threads);
-        cfg.l1SizeKB /= 2;
-        cfg.l2SizeKB /= 2;
-        cfg.l3SizeKB /= 2;
-        Machine m(cfg);
-        const Label add = CommCounter::defineLabel(m);
-        CommCounter counter(m, add);
-        ReplayFrontend fe(t);
-        fe.attach(m);
-        m.run();
-        if (counter.peek(m) != int64_t(kCounterOps))
-            state.SkipWithError("counter end-state validation failed");
-        stats = m.stats();
-    }
-    benchutil::reportStats(state, "replay",
-                           "CommTM/small$ @" +
-                               std::to_string(threads) + "t",
-                           stats);
-}
-
-void
-BM_Replay_List(benchmark::State &state)
-{
-    const auto detection = ConflictDetection(state.range(0));
-    const auto threads = uint32_t(state.range(1));
-    const Trace &t = listCapture(threads);
-    StatsSnapshot stats;
-    for (auto _ : state) {
-        MachineConfig cfg = replayCfg(detection, threads);
-        Machine m(cfg);
+    Machine m(cfg);
+    std::optional<CommCounter> sum;
+    if (counter)
+        sum.emplace(m, CommCounter::defineLabel(m));
+    else
         (void)CommList::defineLabel(m);
-        ReplayFrontend fe(t);
-        fe.attach(m);
-        m.run();
-        stats = m.stats();
-        // Determinism pin, not a functional pin (file header): check
-        // that each captured transaction committed exactly once.
-        if (stats.aggregateThreads().txCommitted != kListOps)
-            state.SkipWithError("replayed commit count mismatch");
+    ReplayFrontend fe(t);
+    fe.attach(m);
+    m.run();
+    const StatsSnapshot stats = m.stats();
+    if (counter) {
+        return rowResult(stats, sum->peek(m) == int64_t(kCounterOps),
+                         "counter end-state validation failed");
     }
-    std::string row = "list";
-    if (detection == ConflictDetection::Lazy)
-        row += "/lazy";
-    benchutil::reportStats(state, "replay",
-                           row + " @" + std::to_string(threads) + "t",
-                           stats);
+    // Determinism pin, not a functional pin (file header): check that
+    // each captured transaction committed exactly once.
+    return rowResult(stats,
+                     stats.aggregateThreads().txCommitted == kListOps,
+                     "replayed commit count mismatch");
 }
 
 } // namespace
-} // namespace commtm
 
-// Eager counter rows run first: the @1t eager replay is the family's
+// Eager counter rows come first: the @1t eager replay is the family's
 // speedup reference.
-BENCHMARK(commtm::BM_Replay_Counter)
-    ->ArgsProduct({{int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)},
-                   commtm::benchutil::extendedThreadSweep()})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(commtm::BM_Replay_CounterSmallCache)
-    ->ArgsProduct({{16, 64, 128, 256}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(commtm::BM_Replay_List)
-    ->ArgsProduct({{int(commtm::ConflictDetection::Eager),
-                    int(commtm::ConflictDetection::Lazy)},
-                   {1, 8, 32, 128, 256}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
+void
+addReplayRows(Registry &reg)
+{
+    Family &fam = addFamily(reg, "replay", "CommTM @1t", true);
+    for (ConflictDetection detection :
+         {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+        for (uint32_t threads : extendedThreadSweep()) {
+            fam.add(rowName(SystemMode::CommTm, threads, detection), [=] {
+                return replayRow(
+                    counterCapture(threads),
+                    machineCfg(SystemMode::CommTm, threads, detection),
+                    true);
+            });
+        }
+    }
+    for (uint32_t threads : {16, 64, 128, 256}) {
+        fam.add("CommTM/small$ @" + std::to_string(threads) + "t", [=] {
+            // Half-size caches at every level: the same capture under
+            // real eviction pressure (U evictions, writebacks).
+            MachineConfig cfg = machineCfg(SystemMode::CommTm, threads);
+            cfg.l1SizeKB /= 2;
+            cfg.l2SizeKB /= 2;
+            cfg.l3SizeKB /= 2;
+            return replayRow(counterCapture(threads), cfg, true);
+        });
+    }
+    for (ConflictDetection detection :
+         {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+        for (uint32_t threads : {1, 8, 32, 128, 256}) {
+            std::string row = "list";
+            if (detection == ConflictDetection::Lazy)
+                row += "/lazy";
+            fam.add(row + " @" + std::to_string(threads) + "t", [=] {
+                return replayRow(
+                    listCapture(threads),
+                    machineCfg(SystemMode::CommTm, threads, detection),
+                    false);
+            });
+        }
+    }
+}
 
-COMMTM_BENCH_MAIN();
+} // namespace benchutil
+} // namespace commtm

@@ -17,52 +17,47 @@
 #include "rt/machine.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kCounters = 16;
 constexpr uint64_t kRequestWork = 48;   // non-tx cycles per request
 constexpr double kServiceCycles = 100;  // nominal uncontended latency
 
-void
-BM_Svc_Counter(benchmark::State &state)
+RowResult
+runSvcCounter(SystemMode mode, ConflictDetection det, uint32_t arrival,
+              uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto det = ConflictDetection(state.range(1));
-    const auto arrival = uint32_t(state.range(2));
-    const auto threads = uint32_t(state.range(3));
-
-    Machine m(benchutil::machineCfg(mode, det, threads));
+    Machine m(machineCfg(mode, threads, det));
     const Label add = CommCounter::defineLabel(m);
     std::vector<std::unique_ptr<CommCounter>> counters;
     for (uint64_t c = 0; c < kCounters; c++)
         counters.push_back(std::make_unique<CommCounter>(m, add));
 
     const OpenLoopConfig cfg =
-        benchutil::svcConfig(arrival, kServiceCycles, kCounters);
+        svcConfig(arrival, kServiceCycles, kCounters);
     OpenLoopFrontend fe(cfg, threads,
                         [&](ThreadContext &ctx, uint64_t key) {
                             ctx.compute(kRequestWork);
                             counters[key]->add(ctx, 1);
                         });
     fe.attach(m);
-    for (auto _ : state)
-        m.run();
+    m.run();
 
-    const ServiceStats svc = fe.totalService();
     int64_t sum = 0;
     for (const auto &counter : counters)
         sum += counter->peek(m);
-    if (sum != int64_t(svc.completed))
-        state.SkipWithError("counter service validation failed");
-    benchutil::reportServiceStats(
-        state, "svc_counter",
-        benchutil::svcRowName(mode, det, arrival, threads), m.stats(),
-        fe.mergedMeasure(), svc);
+    return svcResult(m, fe, sum == int64_t(fe.totalService().completed),
+                     "counter service validation failed");
 }
 
 } // namespace
+
+void
+addSvcCounterRows(Registry &reg)
+{
+    addSvcFamily(reg, "svc_counter", runSvcCounter);
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-COMMTM_SVC_SWEEP(commtm::BM_Svc_Counter);
-
-COMMTM_BENCH_MAIN();

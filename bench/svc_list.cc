@@ -17,6 +17,7 @@
 #include "rt/machine.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint64_t kLists = 8;
@@ -24,15 +25,11 @@ constexpr uint32_t kEnqueuePct = 70;
 constexpr uint64_t kRequestWork = 48;   // non-tx cycles per request
 constexpr double kServiceCycles = 300;  // nominal uncontended latency
 
-void
-BM_Svc_List(benchmark::State &state)
+RowResult
+runSvcList(SystemMode mode, ConflictDetection det, uint32_t arrival,
+           uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto det = ConflictDetection(state.range(1));
-    const auto arrival = uint32_t(state.range(2));
-    const auto threads = uint32_t(state.range(3));
-
-    Machine m(benchutil::machineCfg(mode, det, threads));
+    Machine m(machineCfg(mode, threads, det));
     const Label label = CommList::defineLabel(m);
     std::vector<std::unique_ptr<CommList>> lists;
     for (uint64_t l = 0; l < kLists; l++) {
@@ -46,7 +43,7 @@ BM_Svc_List(benchmark::State &state)
     std::vector<uint64_t> seq(threads, 0);
 
     const OpenLoopConfig cfg =
-        benchutil::svcConfig(arrival, kServiceCycles, kLists);
+        svcConfig(arrival, kServiceCycles, kLists);
     OpenLoopFrontend fe(
         cfg, threads, [&](ThreadContext &ctx, uint64_t key) {
             ctx.compute(kRequestWork);
@@ -62,27 +59,25 @@ BM_Svc_List(benchmark::State &state)
             }
         });
     fe.attach(m);
-    for (auto _ : state)
-        m.run();
+    m.run();
 
-    const ServiceStats svc = fe.totalService();
     int64_t remaining = 0;
     for (const auto &list : lists)
         remaining += int64_t(list->peekSize(m));
     int64_t expected = 0;
     for (uint32_t t = 0; t < threads; t++)
         expected += net[t];
-    if (remaining != expected)
-        state.SkipWithError("list service validation failed");
-    benchutil::reportServiceStats(
-        state, "svc_list",
-        benchutil::svcRowName(mode, det, arrival, threads), m.stats(),
-        fe.mergedMeasure(), svc);
+    return svcResult(m, fe, remaining == expected,
+                     "list service validation failed");
 }
 
 } // namespace
+
+void
+addSvcListRows(Registry &reg)
+{
+    addSvcFamily(reg, "svc_list", runSvcList);
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-COMMTM_SVC_SWEEP(commtm::BM_Svc_List);
-
-COMMTM_BENCH_MAIN();

@@ -18,6 +18,7 @@
 #include "rt/machine.h"
 
 namespace commtm {
+namespace benchutil {
 namespace {
 
 constexpr uint32_t kK = 64;
@@ -25,21 +26,17 @@ constexpr uint64_t kZipfItems = 64;
 constexpr uint64_t kRequestWork = 48;   // non-tx cycles per request
 constexpr double kServiceCycles = 100;  // nominal uncontended latency
 
-void
-BM_Svc_Topk(benchmark::State &state)
+RowResult
+runSvcTopk(SystemMode mode, ConflictDetection det, uint32_t arrival,
+           uint32_t threads)
 {
-    const auto mode = SystemMode(state.range(0));
-    const auto det = ConflictDetection(state.range(1));
-    const auto arrival = uint32_t(state.range(2));
-    const auto threads = uint32_t(state.range(3));
-
-    Machine m(benchutil::machineCfg(mode, det, threads));
+    Machine m(machineCfg(mode, threads, det));
     const Label label = TopK::defineLabel(m, kK);
     TopK set(m, label, kK);
     std::vector<std::vector<int64_t>> inserted(threads);
 
     const OpenLoopConfig cfg =
-        benchutil::svcConfig(arrival, kServiceCycles, kZipfItems);
+        svcConfig(arrival, kServiceCycles, kZipfItems);
     OpenLoopFrontend fe(
         cfg, threads, [&](ThreadContext &ctx, uint64_t key) {
             ctx.compute(kRequestWork);
@@ -51,10 +48,8 @@ BM_Svc_Topk(benchmark::State &state)
             inserted[ctx.id()].push_back(score);
         });
     fe.attach(m);
-    for (auto _ : state)
-        m.run();
+    m.run();
 
-    const ServiceStats svc = fe.totalService();
     // Host reference: the K largest of everything inserted.
     std::vector<int64_t> all;
     for (const auto &v : inserted)
@@ -64,17 +59,16 @@ BM_Svc_Topk(benchmark::State &state)
         all.resize(kK);
     std::vector<int64_t> got = set.peekAll(m);
     std::sort(got.begin(), got.end(), std::greater<int64_t>());
-    if (got != all)
-        state.SkipWithError("topk service validation failed");
-    benchutil::reportServiceStats(
-        state, "svc_topk",
-        benchutil::svcRowName(mode, det, arrival, threads), m.stats(),
-        fe.mergedMeasure(), svc);
+    return svcResult(m, fe, got == all, "topk service validation failed");
 }
 
 } // namespace
+
+void
+addSvcTopkRows(Registry &reg)
+{
+    addSvcFamily(reg, "svc_topk", runSvcTopk);
+}
+
+} // namespace benchutil
 } // namespace commtm
-
-COMMTM_SVC_SWEEP(commtm::BM_Svc_Topk);
-
-COMMTM_BENCH_MAIN();

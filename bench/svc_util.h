@@ -2,9 +2,9 @@
  * @file
  * Shared shape of the open-loop service benches (svc_counter,
  * svc_list, svc_topk; docs/BENCHMARKS.md, "Open-loop service rows").
- * Each bench sweeps {Baseline, CommTM} x {eager, lazy} x arrival
- * discipline at 64-256 threads; the arrival dimension is an index
- * into svcArrivals(): two Poisson points at 50% and 90% of the
+ * Each family sweeps {Baseline, CommTM} x {eager, lazy} x arrival
+ * discipline at 64-256 threads (addSvcFamily); the arrival dimension
+ * is an index into svcArrivals(): two Poisson points at 50% and 90% of the
  * bench's nominal per-thread service rate, and one on-off burst
  * point whose ON phases spike to 8x the base rate (2x on average) —
  * the contention-spike shape the tail-latency claim is about.
@@ -15,6 +15,7 @@
 
 #include "bench_util.h"
 
+#include "rt/machine.h"
 #include "rt/open_loop.h"
 
 namespace commtm {
@@ -73,10 +74,10 @@ svcRowName(SystemMode mode, ConflictDetection detection,
 
 /** Thread counts of the service sweep: the high-contention end the
  *  tail-latency story is about. */
-inline const std::vector<int64_t> &
+inline const std::vector<uint32_t> &
 svcThreadSweep()
 {
-    static const std::vector<int64_t> sweep = {64, 128, 256};
+    static const std::vector<uint32_t> sweep = {64, 128, 256};
     return sweep;
 }
 
@@ -95,21 +96,47 @@ svcConfig(uint32_t arrival_index, double service_cycles,
     return cfg;
 }
 
+/** One service row's run: simulate (mode, detection, arrival point,
+ *  threads). */
+using SvcRun = RowResult (*)(SystemMode, ConflictDetection, uint32_t,
+                             uint32_t);
+
+/**
+ * Register the standard service sweep as family @p name:
+ * {Baseline, CommTM} x {eager, lazy} x arrival x threads, with
+ * Baseline/eager/ld50/64t the family's speedup reference.
+ */
+inline void
+addSvcFamily(Registry &reg, const char *name, SvcRun run)
+{
+    Family &fam = addFamily(reg, name, "Baseline ld50 @64t", true);
+    for (SystemMode mode : {SystemMode::BaselineHtm, SystemMode::CommTm}) {
+        for (ConflictDetection det :
+             {ConflictDetection::Eager, ConflictDetection::Lazy}) {
+            for (uint32_t arrival = 0; arrival < svcArrivals().size();
+                 arrival++) {
+                for (uint32_t threads : svcThreadSweep()) {
+                    fam.add(svcRowName(mode, det, arrival, threads), [=] {
+                        return run(mode, det, arrival, threads);
+                    });
+                }
+            }
+        }
+    }
+}
+
+/** RowResult of a service run on @p m behind @p fe, failing with
+ *  @p what unless @p valid. */
+inline RowResult
+svcResult(const Machine &m, const OpenLoopFrontend &fe, bool valid,
+          const char *what)
+{
+    RowResult r = rowResult(m.stats(), valid, what);
+    r.service = Service{fe.mergedMeasure(), fe.totalService()};
+    return r;
+}
+
 } // namespace benchutil
 } // namespace commtm
-
-/** Registers the standard service sweep for one benchmark function:
- *  {Baseline, CommTM} x {eager, lazy} x arrival x threads, with the
- *  Baseline/eager/ld50/64t row first (the family speedup reference). */
-#define COMMTM_SVC_SWEEP(fn)                                              \
-    BENCHMARK(fn)                                                         \
-        ->ArgsProduct({{int(commtm::SystemMode::BaselineHtm),             \
-                        int(commtm::SystemMode::CommTm)},                 \
-                       {int(commtm::ConflictDetection::Eager),            \
-                        int(commtm::ConflictDetection::Lazy)},            \
-                       {0, 1, 2},                                         \
-                       commtm::benchutil::svcThreadSweep()})              \
-        ->Iterations(1)                                                   \
-        ->Unit(benchmark::kMillisecond)
 
 #endif // COMMTM_BENCH_SVC_UTIL_H

@@ -25,9 +25,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/baseline_io.h"
+#include "bench/bench_util.h"
 
 namespace commtm {
 namespace benchutil {
@@ -283,44 +287,199 @@ TEST(BaselineCheck, QuantilePresenceRules)
     file["svc"]["row"] = pinned;
 
     // Exact match passes.
-    recordedRows().clear();
-    recordedRows().push_back({"svc", "row", pinned});
-    EXPECT_TRUE(check(file, false));
+    std::vector<Recorded> rows = {{"svc", "row", pinned}};
+    EXPECT_TRUE(check(file, rows));
 
     // A single drifted quantile fails.
-    recordedRows().back().entry.p999 = 501;
-    EXPECT_FALSE(check(file, false));
+    rows.back().entry.p999 = 501;
+    EXPECT_FALSE(check(file, rows));
 
     // A row that stopped reporting pinned quantiles is a regression.
-    recordedRows().back().entry = {10, 0, 0, 1.0};
-    EXPECT_FALSE(check(file, false));
+    rows.back().entry = {10, 0, 0, 1.0};
+    EXPECT_FALSE(check(file, rows));
 
     // The reverse — bench reports quantiles, baseline file predates
     // them — checks cleanly, so old files stay usable until the next
     // --write-baseline.
     File old_file;
     old_file["svc"]["row"] = {10, 0, 0, 1.0};
-    recordedRows().back().entry = pinned;
-    EXPECT_TRUE(check(old_file, false));
-    recordedRows().clear();
+    rows.back().entry = pinned;
+    EXPECT_TRUE(check(old_file, rows));
 }
 
 TEST(BaselineCheck, MergeReplacesRecordedRowsOnly)
 {
-    recordedRows().clear();
-    recordedRows().push_back({"figA", "row1", {10, 1, 0, 1.0}});
     File file;
     file["figA"]["row1"] = {99, 9, 9, 9.0};
     file["figA"]["row2"] = {7, 7, 7, 7.0};
     file["figB"]["rowX"] = {5, 5, 5, 5.0};
-    mergeRecorded(file);
+    mergeRecorded(file, {{"figA", "row1", {10, 1, 0, 1.0}}});
     EXPECT_EQ(file["figA"]["row1"].simCycles, 10u);
     EXPECT_EQ(file["figA"]["row2"].simCycles, 7u); // untouched
     EXPECT_EQ(file["figB"]["rowX"].simCycles, 5u); // untouched
-    recordedRows().clear();
 }
 
 } // namespace
 } // namespace baseline
+
+// --- the commtm_bench row registry and driver (bench/bench_util.h) ---
+
+namespace {
+
+using baseline::Entry;
+using baseline::File;
+using baseline::load;
+using baseline::save;
+
+TEST(BenchRegistry, PinnedRowsMatchBaselineFileExactly)
+{
+    File file;
+    std::string err;
+    ASSERT_TRUE(load(COMMTM_BASELINE_FILE, file, err)) << err;
+
+    std::set<std::pair<std::string, std::string>> registered;
+    for (const Family &fam : allRows()) {
+        std::set<std::string> labels;
+        bool has_reference = fam.reference.empty();
+        for (const Row &row : fam.rows) {
+            EXPECT_TRUE(labels.insert(row.label).second)
+                << "duplicate row " << fam.name << "/" << row.label;
+            has_reference |= row.label == fam.reference;
+        }
+        EXPECT_TRUE(has_reference)
+            << fam.name << ": reference row '" << fam.reference
+            << "' is not registered";
+        if (fam.pinned) {
+            EXPECT_FALSE(fam.reference.empty()) << fam.name;
+            for (const std::string &label : labels)
+                registered.insert({fam.name, label});
+        }
+    }
+
+    std::set<std::pair<std::string, std::string>> pinned;
+    for (const auto &[family, rows] : file) {
+        for (const auto &row : rows)
+            pinned.insert({family, row.first});
+    }
+    EXPECT_EQ(pinned.size(), 361u);
+    for (const auto &[family, row] : registered) {
+        EXPECT_TRUE(pinned.count({family, row}))
+            << "registered row " << family << "/" << row
+            << " has no pin";
+    }
+    for (const auto &[family, row] : pinned) {
+        EXPECT_TRUE(registered.count({family, row}))
+            << "stale pin " << family << "/" << row;
+    }
+}
+
+/** runBench on @p reg with @p opts; stderr is returned in @p err and
+ *  the JSON rows are discarded. */
+int
+runCaptured(const Registry &reg, const Options &opts, std::string &err)
+{
+    std::FILE *out = std::tmpfile();
+    ::testing::internal::CaptureStderr();
+    const int code = runBench(reg, opts, out);
+    err = ::testing::internal::GetCapturedStderr();
+    std::fclose(out);
+    return code;
+}
+
+/** A family of two rows that report no statistics; @p bad_error is
+ *  the second row's validation error (empty: it passes). */
+Registry
+syntheticRegistry(bool pinned, const std::string &bad_error)
+{
+    Registry reg;
+    Family &fam = addFamily(reg, "synthetic", "ref", pinned);
+    fam.add("ref", [] { return RowResult{}; });
+    fam.add("bad", [bad_error] {
+        RowResult r;
+        r.error = bad_error;
+        return r;
+    });
+    return reg;
+}
+
+TEST(BenchDriver, FailingRowFailsEveryMode)
+{
+    const std::string path = ::testing::TempDir() + "/synthetic.json";
+    File file;
+    file["synthetic"]["ref"] = Entry{};
+    file["synthetic"]["bad"] = Entry{};
+    ASSERT_TRUE(save(path, file));
+
+    Options run;
+    Options check_opts;
+    check_opts.check = true;
+    check_opts.baselinePath = path;
+    std::string err;
+    // The pins match the rows: only the validation error fails them.
+    EXPECT_EQ(runCaptured(syntheticRegistry(true, ""), check_opts, err),
+              0)
+        << err;
+    for (const Options &opts : {run, check_opts}) {
+        EXPECT_NE(runCaptured(syntheticRegistry(true, "boom"), opts, err),
+                  0);
+        EXPECT_NE(err.find("synthetic/bad"), std::string::npos) << err;
+    }
+
+    // --write-baseline leaves the file alone when a row fails.
+    Options write_opts;
+    write_opts.write = true;
+    write_opts.baselinePath = ::testing::TempDir() + "/never.json";
+    std::remove(write_opts.baselinePath.c_str());
+    EXPECT_NE(runCaptured(syntheticRegistry(true, "boom"), write_opts, err),
+              0);
+    EXPECT_NE(err.find("synthetic/bad"), std::string::npos) << err;
+    EXPECT_EQ(std::fopen(write_opts.baselinePath.c_str(), "r"), nullptr);
+    std::remove(path.c_str());
+}
+
+TEST(BenchDriver, WriteDropsPinsTheRegistryNoLongerHas)
+{
+    const std::string path = ::testing::TempDir() + "/stale.json";
+    File file;
+    file["synthetic"]["stale"] = {1, 1, 1, 1.0};
+    file["other"]["row"] = {2, 2, 2, 2.0};
+    ASSERT_TRUE(save(path, file));
+
+    Options opts;
+    opts.write = true;
+    opts.baselinePath = path;
+    std::string err;
+    ASSERT_EQ(runCaptured(syntheticRegistry(true, ""), opts, err), 0)
+        << err;
+    File written;
+    ASSERT_TRUE(load(path, written, err)) << err;
+    EXPECT_EQ(written["synthetic"].size(), 2u);
+    EXPECT_EQ(written["synthetic"].count("stale"), 0u);
+    EXPECT_EQ(written["other"]["row"].simCycles, 2u); // untouched
+    std::remove(path.c_str());
+}
+
+TEST(BenchDriver, FilteredCheckComparesSpeedup)
+{
+    // One non-reference row: the driver still runs fig09's reference
+    // first, so the row's speedup is exact against the pinned file.
+    Options opts;
+    opts.filter = "^fig09/CommTM @128t$";
+    opts.check = true;
+    std::string err;
+    EXPECT_EQ(runCaptured(allRows(), opts, err), 0) << err;
+    EXPECT_NE(err.find("PASSED: 1 rows"), std::string::npos) << err;
+
+    File file;
+    ASSERT_TRUE(load(COMMTM_BASELINE_FILE, file, err)) << err;
+    file["fig09"]["CommTM @128t"].speedup *= 1.001;
+    opts.baselinePath = ::testing::TempDir() + "/speedup.json";
+    ASSERT_TRUE(save(opts.baselinePath, file));
+    EXPECT_NE(runCaptured(allRows(), opts, err), 0);
+    EXPECT_NE(err.find("speedup"), std::string::npos) << err;
+    std::remove(opts.baselinePath.c_str());
+}
+
+} // namespace
 } // namespace benchutil
 } // namespace commtm
